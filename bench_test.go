@@ -109,29 +109,6 @@ func BenchmarkE4LinpackDelta(b *testing.B) {
 	b.ReportMetric(linpack.PredictGFlops(cfg), "model-GFLOPS")
 }
 
-// BenchmarkE4LinpackDeltaSharded is BenchmarkE4LinpackDelta with the
-// simulation's collective engine split across four shards
-// (nx.Config.Shards): same bit-identical virtual times, but the
-// deferred-settlement work spreads over host cores. The ratio against the
-// unsharded run is the sharding speedup on this host (1.0 on one core).
-func BenchmarkE4LinpackDeltaSharded(b *testing.B) {
-	cfg := linpack.Config{
-		N: 25000, NB: 16, GridRows: 16, GridCols: 33,
-		Model: machine.Delta(), Phantom: true, Seed: 1992,
-		Shards: 4,
-	}
-	var gflops, vtime float64
-	for i := 0; i < b.N; i++ {
-		out, err := linpack.Run(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		gflops, vtime = out.GFlops, out.FactTime
-	}
-	b.ReportMetric(gflops, "GFLOPS")
-	b.ReportMetric(vtime, "simulated-s")
-}
-
 // BenchmarkE4LinpackDeltaTreeCollectives is BenchmarkE4LinpackDelta on
 // the legacy tree-message collective path: the ratio against the fused
 // default is the fused engine's speedup, tracked in BENCH_report.json.

@@ -1,13 +1,9 @@
 package analysis
 
-// hpcclock — the lock-ordering contract. The sharded fused-collective
-// engine (internal/nx/shard.go) runs one mutex per engineShard, and the
-// cross-engine hand-off protocol is built on a single rule: no goroutine
-// ever holds two engine locks at once — cross-shard work unlocks one
-// engine before locking the next, so shards cannot deadlock on lock
-// order. The same shape generalizes: holding two mutexes that live in
-// two instances of the *same* struct type is exactly the symmetric
-// deadlock the contract forbids, wherever it appears.
+// hpcclock — the lock-ordering contract. No goroutine ever holds two
+// locks of the same kind at once: holding two mutexes that live in two
+// instances of the *same* struct type is the symmetric deadlock shape
+// (two flows taking the pair in opposite orders), wherever it appears.
 //
 // The analyzer checks, per function body, a single linear pass:
 //
@@ -240,7 +236,7 @@ func checkLocks(pass *Pass, body *ast.BlockStmt, sums map[*types.Func]*funcSumma
 						}
 						for _, h := range held {
 							if h.owner == site.owner {
-								pass.Reportf(n.Pos(), "second %s lock (%s) acquired while %s is held: the engine contract is one lock at a time — unlock before relocking, as the cross-shard hand-off does", site.owner.Name(), site.expr, h.expr)
+								pass.Reportf(n.Pos(), "second %s lock (%s) acquired while %s is held: the engine contract is one lock at a time — unlock before relocking", site.owner.Name(), site.expr, h.expr)
 							}
 						}
 						held[site.expr] = site

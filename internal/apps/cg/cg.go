@@ -111,10 +111,6 @@ type Config struct {
 	// next collective boundary and the run returns Ctx.Err() instead of
 	// an outcome. A nil Ctx preserves run-to-completion behavior.
 	Ctx context.Context
-	// Shards partitions the simulation's collective engine across host
-	// cores (nx.Config.Shards); 0 uses the process-wide -sim-shards
-	// default. Results are bit-identical for every value.
-	Shards int
 }
 
 // Outcome reports a distributed solve.
@@ -167,7 +163,7 @@ func SolveDistributed(cfg Config) (*Outcome, error) {
 	var outRes float64
 	var outIters int
 	times := make([]float64, p)
-	res, err := nx.Run(nx.Config{Model: cfg.Model, Procs: p, Ctx: cfg.Ctx, Shards: cfg.Shards}, func(proc *nx.Proc) {
+	res, err := nx.Run(nx.Config{Model: cfg.Model, Procs: p, Ctx: cfg.Ctx}, func(proc *nx.Proc) {
 		n := cfg.N
 		rank := proc.Rank()
 		r0, rows := rowsFor(n, p, rank)

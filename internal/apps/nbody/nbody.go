@@ -108,10 +108,6 @@ type Config struct {
 	// next collective boundary and the run returns Ctx.Err() instead of
 	// an outcome. A nil Ctx preserves run-to-completion behavior.
 	Ctx context.Context
-	// Shards partitions the simulation's collective engine across host
-	// cores (nx.Config.Shards); 0 uses the process-wide -sim-shards
-	// default. Results are bit-identical for every value.
-	Shards int
 }
 
 // Outcome reports a distributed run.
@@ -157,7 +153,7 @@ func RingForces(cfg Config) (*Outcome, error) {
 
 	var outFX, outFY, outFZ []float64
 	times := make([]float64, p)
-	res, err := nx.Run(nx.Config{Model: cfg.Model, Procs: p, Ctx: cfg.Ctx, Shards: cfg.Shards}, func(proc *nx.Proc) {
+	res, err := nx.Run(nx.Config{Model: cfg.Model, Procs: p, Ctx: cfg.Ctx}, func(proc *nx.Proc) {
 		rank := proc.Rank()
 		start, count := chunk(cfg.N, p, rank)
 		next := (rank + 1) % p

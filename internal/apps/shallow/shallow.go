@@ -160,10 +160,6 @@ type Config struct {
 	// next collective boundary and the run returns Ctx.Err() instead of
 	// an outcome. A nil Ctx preserves run-to-completion behavior.
 	Ctx context.Context
-	// Shards partitions the simulation's collective engine across host
-	// cores (nx.Config.Shards); 0 uses the process-wide -sim-shards
-	// default. Results are bit-identical for every value.
-	Shards int
 }
 
 // Outcome reports a distributed run.
@@ -213,7 +209,7 @@ func RunDistributed(cfg Config) (*Outcome, error) {
 
 	var final *State
 	times := make([]float64, p)
-	res, err := nx.Run(nx.Config{Model: cfg.Model, Procs: p, Ctx: cfg.Ctx, Shards: cfg.Shards}, func(proc *nx.Proc) {
+	res, err := nx.Run(nx.Config{Model: cfg.Model, Procs: p, Ctx: cfg.Ctx}, func(proc *nx.Proc) {
 		w := newDistWorker(proc, cfg, p)
 		for t := 0; t < cfg.Steps; t++ {
 			w.step()

@@ -35,10 +35,6 @@ type Config2D struct {
 	// next collective boundary and the run returns Ctx.Err() instead of
 	// an outcome. A nil Ctx preserves run-to-completion behavior.
 	Ctx context.Context
-	// Shards partitions the simulation's collective engine across host
-	// cores (nx.Config.Shards); 0 uses the process-wide -sim-shards
-	// default. Results are bit-identical for every value.
-	Shards int
 }
 
 // RunDistributed2D executes the Jacobi solver with a 2D block
@@ -62,7 +58,7 @@ func RunDistributed2D(cfg Config2D) (*Outcome, error) {
 
 	var final []float64
 	times := make([]float64, p)
-	res, err := nx.Run(nx.Config{Model: cfg.Model, Procs: p, Ctx: cfg.Ctx, Shards: cfg.Shards}, func(proc *nx.Proc) {
+	res, err := nx.Run(nx.Config{Model: cfg.Model, Procs: p, Ctx: cfg.Ctx}, func(proc *nx.Proc) {
 		rank := proc.Rank()
 		pr, pc := rank/cfg.PC, rank%cfg.PC
 		rowStart, myRows := rowsFor(cfg.NY, cfg.PR, pr)

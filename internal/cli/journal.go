@@ -47,7 +47,7 @@ func (jf *journalFlags) validate() error {
 
 // journalHeader snapshots the identity of one invocation: the job list
 // plus every knob that affects the bytes a job computes. The registry
-// fingerprint and the nx collective/shard configuration are read from
+// fingerprint and the nx collective mode are read from
 // the live process, so apply() calls must precede this.
 func journalHeader(mode string, jobs []harness.Job, jsonOut bool) journal.Header {
 	hj := make([]journal.Job, len(jobs))
@@ -62,7 +62,6 @@ func journalHeader(mode string, jobs []harness.Job, jsonOut bool) journal.Header
 		Mode:        mode,
 		Fingerprint: harness.Default.Fingerprint(),
 		Collectives: nx.DefaultCollectives().String(),
-		SimShards:   nx.DefaultShards(),
 		JSON:        jsonOut,
 		Jobs:        hj,
 		Time:        time.Now().UTC(),
@@ -233,13 +232,9 @@ func cmdResume(ctx context.Context, args []string, stdout, stderr io.Writer) err
 		return fmt.Errorf("%w: journal %s was written by registry fingerprint %s, this binary is %s (results would not be comparable; rerun instead of resuming)",
 			journal.ErrIdentityMismatch, path, h.Fingerprint, fp)
 	}
-	// Re-apply the execution configuration the interrupted invocation
-	// ran under, so the remainder computes identical bytes.
+	// Re-apply the collective mode the interrupted invocation ran
+	// under, so the remainder computes identical bytes.
 	if err := (&collectivesFlags{mode: h.Collectives}).apply(); err != nil {
-		j.Close()
-		return err
-	}
-	if err := (&simShardsFlags{n: h.SimShards}).apply(); err != nil {
 		j.Close()
 		return err
 	}

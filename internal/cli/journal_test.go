@@ -7,6 +7,7 @@ package cli
 
 import (
 	"context"
+	"os"
 	"strings"
 	"testing"
 
@@ -164,6 +165,30 @@ func TestResumeRefusesForeignFingerprint(t *testing.T) {
 		t.Fatal("journal from a foreign registry fingerprint resumed")
 	}
 	for _, want := range []string{"identity mismatch", "fingerprint"} {
+		if !strings.Contains(errOut, want) {
+			t.Fatalf("refusal missing %q: %q", want, errOut)
+		}
+	}
+}
+
+// TestResumeRefusesSchema1Journal: a journal the schema-1 binary left
+// behind (its header still carries the engine shard count) must fail
+// resume with the schema error and a rerun hint, not replay or report a
+// hash mismatch.
+func TestResumeRefusesSchema1Journal(t *testing.T) {
+	dir := t.TempDir()
+	const header = `{"journal":1,"hash":"9efe483ee4461ab3","mode":"sweep","fingerprint":"05fa47753e0609c6","collectives":"fused","sim_shards":1,"jobs":[{"workload_id":"E1","params":{"quick":true}}],"time":"2026-10-01T12:00:00Z"}`
+	if err := os.WriteFile(journal.Path(dir, "9efe483ee4461ab3"), []byte(header+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out, errOut, code := run(t, "resume", "-journal", dir)
+	if code == 0 || out != "" {
+		t.Fatalf("schema-1 journal resumed: exit %d, stdout %q", code, out)
+	}
+	if strings.Contains(errOut, "identity mismatch") {
+		t.Fatalf("schema-1 journal reported as identity mismatch: %q", errOut)
+	}
+	for _, want := range []string{"schema 1", "rerun"} {
 		if !strings.Contains(errOut, want) {
 			t.Fatalf("refusal missing %q: %q", want, errOut)
 		}

@@ -31,17 +31,12 @@ func cmdLinpack(ctx context.Context, args []string, stdout, stderr io.Writer) er
 	real := fs.Bool("real", false, "real numerics (small N) with residual check")
 	var xf collectivesFlags
 	xf.register(fs)
-	var ssf simShardsFlags
-	ssf.register(fs)
 	var cf cacheFlags
 	cf.register(fs)
 	if err := fs.Parse(args); err != nil {
 		return parseErr(err)
 	}
 	if err := xf.apply(); err != nil {
-		return err
-	}
-	if err := ssf.apply(); err != nil {
 		return err
 	}
 	resultCache, err := cf.open()

@@ -82,8 +82,6 @@ func cmdReport(ctx context.Context, args []string, stdout, stderr io.Writer) err
 	cf.register(fs)
 	var xf collectivesFlags
 	xf.register(fs)
-	var ssf simShardsFlags
-	ssf.register(fs)
 	var tf tokenFlags
 	tf.register(fs)
 	var bf budgetFlags
@@ -102,9 +100,6 @@ func cmdReport(ctx context.Context, args []string, stdout, stderr io.Writer) err
 		return err
 	}
 	if err := xf.apply(); err != nil {
-		return err
-	}
-	if err := ssf.apply(); err != nil {
 		return err
 	}
 	resultCache, err := cf.open()
@@ -317,8 +312,6 @@ func cmdRun(ctx context.Context, args []string, stdout, stderr io.Writer) error 
 	cf.register(fs)
 	var xf collectivesFlags
 	xf.register(fs)
-	var ssf simShardsFlags
-	ssf.register(fs)
 	var bf budgetFlags
 	bf.register(fs)
 	var jf journalFlags
@@ -335,9 +328,6 @@ func cmdRun(ctx context.Context, args []string, stdout, stderr io.Writer) error 
 		return err
 	}
 	if err := xf.apply(); err != nil {
-		return err
-	}
-	if err := ssf.apply(); err != nil {
 		return err
 	}
 	resultCache, err := cf.open()
@@ -389,8 +379,6 @@ func cmdSweep(ctx context.Context, args []string, stdout, stderr io.Writer) erro
 	cf.register(fs)
 	var xf collectivesFlags
 	xf.register(fs)
-	var ssf simShardsFlags
-	ssf.register(fs)
 	var tf tokenFlags
 	tf.register(fs)
 	var bf budgetFlags
@@ -411,9 +399,6 @@ func cmdSweep(ctx context.Context, args []string, stdout, stderr io.Writer) erro
 		return err
 	}
 	if err := xf.apply(); err != nil {
-		return err
-	}
-	if err := ssf.apply(); err != nil {
 		return err
 	}
 	resultCache, err := cf.open()

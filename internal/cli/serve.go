@@ -51,8 +51,6 @@ func cmdServe(ctx context.Context, args []string, stdout, stderr io.Writer) erro
 	cf.register(fs)
 	var xf collectivesFlags
 	xf.register(fs)
-	var ssf simShardsFlags
-	ssf.register(fs)
 	var tf tokenFlags
 	tf.register(fs)
 	var bf budgetFlags
@@ -64,9 +62,6 @@ func cmdServe(ctx context.Context, args []string, stdout, stderr io.Writer) erro
 		return errors.New("serve: takes no arguments")
 	}
 	if err := xf.apply(); err != nil {
-		return err
-	}
-	if err := ssf.apply(); err != nil {
 		return err
 	}
 	resultCache, err := cf.open()

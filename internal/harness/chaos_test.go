@@ -2,6 +2,7 @@ package harness
 
 import (
 	"context"
+	"net"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -67,8 +68,13 @@ func TestChaosIsDeterministic(t *testing.T) {
 	var evictions [2]int
 	for round := range evictions {
 		faulty, _ := startRemoteWorker(t, counterReg(t, new(atomic.Int32), 0))
-		pristine, _ := startRemoteWorker(t, counterReg(t, new(atomic.Int32), 0))
+		// The pristine worker holds its jobs until a faulty connection
+		// has closed, so the sweep cannot finish before the seeded fault
+		// fires.
+		faultyClosed, onClose := gateOnce()
+		pristine, _ := startRemoteWorker(t, gatedCounterReg(t, new(atomic.Int32), 0, faultyClosed, nil))
 		base, stderr := remoteExec(execReg, faulty, pristine)
+		base.Dial = closeHookDial(faulty, onClose)
 		ex := NewChaosExecutor(base, plan, faulty)
 		if _, err := ex.Execute(context.Background(), jobs, nil); err != nil {
 			t.Fatalf("round %d: %v", round, err)
@@ -80,6 +86,31 @@ func TestChaosIsDeterministic(t *testing.T) {
 	}
 }
 
+// closeHookDial dials TCP; connections to addr call onClose when they
+// close.
+func closeHookDial(addr string, onClose func()) DialFunc {
+	return func(ctx context.Context, a string) (net.Conn, error) {
+		var d net.Dialer
+		conn, err := d.DialContext(ctx, "tcp", a)
+		if err != nil || a != addr {
+			return conn, err
+		}
+		return closeHookConn{conn, onClose}, nil
+	}
+}
+
+// closeHookConn calls onClose when the connection is closed.
+type closeHookConn struct {
+	net.Conn
+	onClose func()
+}
+
+func (c closeHookConn) Close() error {
+	err := c.Conn.Close()
+	c.onClose()
+	return err
+}
+
 // TestChaosTruncationSurfacesAsTruncatedFrame pins the decoder
 // behavior the chaos layer relies on: a stream cut mid-frame must fail
 // with ErrTruncatedFrame (and evict), never parse as a short message.
@@ -87,8 +118,12 @@ func TestChaosTruncationSurfacesAsTruncatedFrame(t *testing.T) {
 	execReg := counterReg(t, new(atomic.Int32), 0)
 	jobs := counterJobs(t, execReg, 4)
 	faulty, _ := startRemoteWorker(t, counterReg(t, new(atomic.Int32), 0))
-	pristine, _ := startRemoteWorker(t, counterReg(t, new(atomic.Int32), 0))
+	// The pristine worker holds its jobs until the faulty connection has
+	// closed, so the sweep cannot finish before the tear happens.
+	faultyClosed, onClose := gateOnce()
+	pristine, _ := startRemoteWorker(t, gatedCounterReg(t, new(atomic.Int32), 0, faultyClosed, nil))
 	base, stderr := remoteExec(execReg, faulty, pristine)
+	base.Dial = closeHookDial(faulty, onClose)
 	// Truncate only inbound frames so the tear happens on the executor's
 	// own read path (outbound truncation is seen by the worker instead).
 	ex := NewChaosExecutor(base, ChaosPlan{Seed: 11, TruncateFrame: 1}, faulty)

@@ -222,10 +222,14 @@ func TestRemoteRedialDisabledKeepsEvictionFinal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The survivor holds its jobs until the crasher has read one, so the
+	// crasher always owns a job when it drops and is evicted for good.
+	crasherRead, onRead := gateOnce()
 	crasher := fakeWorker(t, execReg, func(conn net.Conn, fr *frameReader) {
 		fr.next() // read one job, then drop the connection
+		onRead()
 	})
-	survivor, _ := startRemoteWorker(t, counterReg(t, &fastCalls, 0))
+	survivor, _ := startRemoteWorker(t, gatedCounterReg(t, &fastCalls, 0, crasherRead, nil))
 
 	var mu sync.Mutex
 	dials := map[string]int{}
@@ -330,8 +334,11 @@ func TestRemoteRedialHealsRefusedDials(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr0, _ := startRemoteWorker(t, counterReg(t, new(atomic.Int32), 0))
-	addr1, _ := startRemoteWorker(t, counterReg(t, new(atomic.Int32), 0))
+	// The healthy worker holds its jobs until the refused one has been
+	// readmitted and run a job, so it cannot finish the sweep first.
+	ran, onRun := gateOnce()
+	addr0, _ := startRemoteWorker(t, gatedCounterReg(t, new(atomic.Int32), 0, nil, onRun))
+	addr1, _ := startRemoteWorker(t, gatedCounterReg(t, new(atomic.Int32), 0, ran, nil))
 	ex, stderr := remoteExec(execReg, addr0, addr1)
 	ex.Sleep = instantSleep
 	cx := NewChaosExecutor(ex, ChaosPlan{Seed: 7, RefuseDials: 2}, addr0)
@@ -354,8 +361,10 @@ func TestRemoteRedialHealsDroppedHandshakes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr0, _ := startRemoteWorker(t, counterReg(t, new(atomic.Int32), 0))
-	addr1, _ := startRemoteWorker(t, counterReg(t, new(atomic.Int32), 0))
+	// As above: the healthy worker waits for the half-up one to run a job.
+	ran, onRun := gateOnce()
+	addr0, _ := startRemoteWorker(t, gatedCounterReg(t, new(atomic.Int32), 0, nil, onRun))
+	addr1, _ := startRemoteWorker(t, gatedCounterReg(t, new(atomic.Int32), 0, ran, nil))
 	ex, stderr := remoteExec(execReg, addr0, addr1)
 	ex.Sleep = instantSleep
 	cx := NewChaosExecutor(ex, ChaosPlan{Seed: 11, DropHandshakes: 2}, addr0)

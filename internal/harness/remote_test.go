@@ -256,8 +256,27 @@ func TestRemoteStaleVersionRefusedNamingBothVersions(t *testing.T) {
 // which is how the tests see *where* each job actually ran.
 func counterReg(t *testing.T, calls *atomic.Int32, delay time.Duration) *Registry {
 	t.Helper()
+	return gatedCounterReg(t, calls, delay, nil, nil)
+}
+
+// gatedCounterReg is counterReg whose r/job first calls onRun and then
+// waits for gate to close (nil skips either). A survivor worker gated on
+// a misbehaving peer cannot finish the whole sweep before that peer has
+// been handed a job.
+func gatedCounterReg(t *testing.T, calls *atomic.Int32, delay time.Duration, gate <-chan struct{}, onRun func()) *Registry {
+	t.Helper()
 	reg := NewRegistry()
-	err := reg.Register(spec("r/job", func(_ context.Context, p Params) (Result, error) {
+	err := reg.Register(spec("r/job", func(ctx context.Context, p Params) (Result, error) {
+		if onRun != nil {
+			onRun()
+		}
+		if gate != nil {
+			select {
+			case <-gate:
+			case <-ctx.Done():
+				return Result{}, ctx.Err()
+			}
+		}
 		calls.Add(1)
 		if delay > 0 {
 			time.Sleep(delay)
@@ -272,6 +291,13 @@ func counterReg(t *testing.T, calls *atomic.Int32, delay time.Duration) *Registr
 		t.Fatal(err)
 	}
 	return reg
+}
+
+// gateOnce returns a channel and an idempotent func that closes it.
+func gateOnce() (<-chan struct{}, func()) {
+	ch := make(chan struct{})
+	var once sync.Once
+	return ch, func() { once.Do(func() { close(ch) }) }
 }
 
 func counterJobs(t *testing.T, reg *Registry, n int) []Job {
@@ -290,12 +316,16 @@ func counterJobs(t *testing.T, reg *Registry, n int) []Job {
 func TestRemoteWorkerKilledMidJobRedispatches(t *testing.T) {
 	const n = 8
 	started := make(chan struct{}, n)
+	// The fast worker holds its jobs until worker 0 has started one, so
+	// it cannot drain the sweep before worker 0 is hanging mid-job.
+	blockStarted, onStart := gateOnce()
 	blockReg := NewRegistry()
 	err := blockReg.Register(spec("r/job", func(ctx context.Context, _ Params) (Result, error) {
 		// Same ID and version as counterReg's r/job — the fingerprints
 		// match — but this instance hangs until its connection dies, so
 		// every job landing here must be re-dispatched.
 		started <- struct{}{}
+		onStart()
 		<-ctx.Done()
 		return Result{}, ctx.Err()
 	}))
@@ -311,7 +341,7 @@ func TestRemoteWorkerKilledMidJobRedispatches(t *testing.T) {
 	}
 
 	addr0, kill0 := startRemoteWorker(t, blockReg)
-	addr1, _ := startRemoteWorker(t, counterReg(t, &fastCalls, 0))
+	addr1, _ := startRemoteWorker(t, gatedCounterReg(t, &fastCalls, 0, blockStarted, nil))
 	ex, stderr := remoteExec(execReg, addr0, addr1)
 	emit, seen := orderedEmit(t)
 
@@ -357,11 +387,14 @@ func TestRemoteCrashedConnRedispatchesToSurvivor(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Worker 0 handshakes fine, reads one job, and drops the connection
-	// without answering.
+	// without answering. The survivor holds its jobs until that read, so
+	// it cannot drain the sweep before the crasher owns a job.
+	crasherRead, onRead := gateOnce()
 	crasher := fakeWorker(t, execReg, func(conn net.Conn, fr *frameReader) {
 		fr.next()
+		onRead()
 	})
-	addr1, _ := startRemoteWorker(t, counterReg(t, &fastCalls, 0))
+	addr1, _ := startRemoteWorker(t, gatedCounterReg(t, &fastCalls, 0, crasherRead, nil))
 	ex, stderr := remoteExec(execReg, crasher, addr1)
 	got, err := ex.Execute(context.Background(), jobs, nil)
 	if err != nil {
@@ -379,10 +412,12 @@ func TestRemoteCrashedConnRedispatchesToSurvivor(t *testing.T) {
 func TestRemoteRetryBudgetBounded(t *testing.T) {
 	execReg := counterReg(t, new(atomic.Int32), 0)
 	jobs := counterJobs(t, execReg, 4)
+	crasherRead, onRead := gateOnce()
 	crasher := fakeWorker(t, execReg, func(conn net.Conn, fr *frameReader) {
 		fr.next()
+		onRead()
 	})
-	addr1, _ := startRemoteWorker(t, counterReg(t, new(atomic.Int32), 0))
+	addr1, _ := startRemoteWorker(t, gatedCounterReg(t, new(atomic.Int32), 0, crasherRead, nil))
 	ex, _ := remoteExec(execReg, crasher, addr1)
 	ex.MaxAttempts = 1 // one send is the whole budget
 	_, err := ex.Execute(context.Background(), jobs, nil)
@@ -407,15 +442,18 @@ func TestRemoteHeartbeatEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Worker 0 accepts jobs and then goes completely silent: no results,
-	// no heartbeats. Only the deadline can unmask it.
+	// no heartbeats. Only the deadline can unmask it. The survivor holds
+	// its jobs until the silent worker has read one.
+	silentRead, onRead := gateOnce()
 	silent := fakeWorker(t, execReg, func(conn net.Conn, fr *frameReader) {
 		for {
 			if _, err := fr.next(); err != nil {
 				return
 			}
+			onRead()
 		}
 	})
-	addr1, _ := startRemoteWorker(t, counterReg(t, &fastCalls, 0))
+	addr1, _ := startRemoteWorker(t, gatedCounterReg(t, &fastCalls, 0, silentRead, nil))
 	ex, stderr := remoteExec(execReg, silent, addr1)
 	ex.HeartbeatTimeout = 300 * time.Millisecond
 	got, err := ex.Execute(context.Background(), jobs, nil)

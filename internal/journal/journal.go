@@ -28,7 +28,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 	"time"
 
@@ -36,7 +35,10 @@ import (
 )
 
 // Schema is the journal file schema revision, recorded in every header.
-const Schema = 1
+// Revision 2 dropped the engine shard count from the header and its
+// identity hash; Open refuses any other revision, so an older journal is
+// rerun rather than replayed.
+const Schema = 2
 
 // keyHexLen is how many hex digits of the identity hash name a journal
 // file — 64 bits, plenty against collision across one journal directory.
@@ -79,11 +81,9 @@ type Header struct {
 	// binary: same-registry enforcement, exactly like the fleet
 	// handshake.
 	Fingerprint string `json:"fingerprint"`
-	// Collectives and SimShards pin the nx execution configuration the
-	// sweep ran under; resume re-applies them so the remainder computes
-	// identical bytes.
+	// Collectives pins the nx collective mode the sweep ran under;
+	// resume re-applies it so the remainder computes identical bytes.
 	Collectives string `json:"collectives,omitempty"`
-	SimShards   int    `json:"sim_shards,omitempty"`
 	// JSON records whether the interrupted command was asked for JSON
 	// output; render-only, excluded from the identity hash.
 	JSON bool `json:"json,omitempty"`
@@ -95,7 +95,7 @@ type Header struct {
 
 // Identity computes the header's identity digest over everything that
 // determines the sweep's bytes: mode, registry fingerprint, collective
-// mode, shard count, and the ordered (workload ID, canonical params)
+// mode, and the ordered (workload ID, canonical params)
 // job list. Render-only fields (JSON, Time) are excluded.
 func (h Header) Identity() string {
 	sum := sha256.New()
@@ -105,8 +105,6 @@ func (h Header) Identity() string {
 	io.WriteString(sum, h.Fingerprint)
 	io.WriteString(sum, "\x00")
 	io.WriteString(sum, h.Collectives)
-	io.WriteString(sum, "\x00")
-	io.WriteString(sum, strconv.Itoa(h.SimShards))
 	io.WriteString(sum, "\x00")
 	for _, j := range h.Jobs {
 		io.WriteString(sum, j.WorkloadID)
@@ -207,7 +205,7 @@ func Open(path string, warn io.Writer) (*Journal, Header, map[int]harness.Result
 		return nil, Header{}, nil, fmt.Errorf("journal: %s: bad header: %w", path, err)
 	}
 	if h.Journal != Schema {
-		return nil, Header{}, nil, fmt.Errorf("journal: %s has schema %d, this binary speaks %d", path, h.Journal, Schema)
+		return nil, Header{}, nil, fmt.Errorf("journal: %s has schema %d, this binary speaks %d (rerun the sweep instead of resuming)", path, h.Journal, Schema)
 	}
 	if want := h.Identity(); h.Hash != want {
 		return nil, Header{}, nil, fmt.Errorf("%w: %s records hash %s but its contents hash to %s", ErrIdentityMismatch, path, h.Hash, want)

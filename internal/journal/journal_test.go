@@ -3,6 +3,7 @@ package journal
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -22,7 +23,6 @@ func testHeader(n int) Header {
 		Mode:        "sweep",
 		Fingerprint: "deadbeef",
 		Collectives: "auto",
-		SimShards:   2,
 		Jobs:        jobs,
 		Time:        time.Date(2026, 8, 7, 12, 0, 0, 0, time.UTC),
 	}
@@ -243,13 +243,40 @@ func TestSchemaMismatchRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data = bytes.Replace(data, []byte(`{"journal":1,`), []byte(`{"journal":99,`), 1)
+	data = bytes.Replace(data, []byte(fmt.Sprintf(`{"journal":%d,`, Schema)), []byte(`{"journal":99,`), 1)
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	_, _, _, err = Open(path, nil)
 	if err == nil || !strings.Contains(err.Error(), "schema") {
 		t.Fatalf("future schema accepted: %v", err)
+	}
+}
+
+// schema1Header is a header line exactly as the schema-1 binary wrote
+// it, engine shard count ("sim_shards") included.
+const schema1Header = `{"journal":1,"hash":"9efe483ee4461ab3","mode":"sweep","fingerprint":"05fa47753e0609c6","collectives":"fused","sim_shards":1,"jobs":[{"workload_id":"E1","params":{"quick":true}}],"time":"2026-10-01T12:00:00Z"}`
+
+// TestSchema1JournalRefusedWithRerunHint: a journal from before the
+// shard count left the identity must be refused by the schema check —
+// never replayed, and never misreported as a hash mismatch — with a hint
+// to rerun.
+func TestSchema1JournalRefusedWithRerunHint(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "9efe483ee4461ab3.jsonl")
+	if err := os.WriteFile(path, []byte(schema1Header+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, _, done, err := Open(path, nil)
+	if err == nil {
+		t.Fatalf("schema-1 journal opened (%d entries replayable)", len(done))
+	}
+	if errors.Is(err, ErrIdentityMismatch) {
+		t.Fatalf("schema-1 journal reported as identity mismatch: %v", err)
+	}
+	for _, want := range []string{"schema 1", "rerun"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("refusal missing %q: %v", want, err)
+		}
 	}
 }
 

@@ -37,10 +37,6 @@ type Config struct {
 	// engine's per-job context arrives here through the registry
 	// workloads, so a cancelled sweep stops simulating promptly.
 	Ctx context.Context
-	// Shards partitions the simulation's collective engine across host
-	// cores (nx.Config.Shards); 0 uses the process-wide -sim-shards
-	// default. Results are bit-identical for every value.
-	Shards int
 }
 
 // Outcome reports a completed run.
@@ -83,7 +79,7 @@ func Run(cfg Config) (*Outcome, error) {
 	var keptLU []float64
 	var keptPiv []int
 
-	res, err := nx.Run(nx.Config{Model: cfg.Model, Procs: p, Trace: cfg.Trace, Ctx: cfg.Ctx, Shards: cfg.Shards}, func(proc *nx.Proc) {
+	res, err := nx.Run(nx.Config{Model: cfg.Model, Procs: p, Trace: cfg.Trace, Ctx: cfg.Ctx}, func(proc *nx.Proc) {
 		w := newWorker(proc, cfg)
 		w.factor()
 		// synchronize and record the timed region before verification

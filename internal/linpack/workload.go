@@ -13,7 +13,7 @@ import (
 // (workload ID, params, this string), so the result cache serves repeat
 // runs from disk. Bump it whenever the factorization, the machine models
 // it runs on, or the rendered table change output for a fixed Params.
-const kernelVersion = "lu-1"
+const kernelVersion = "lu-2"
 
 // The LINPACK simulator as registry workloads: the paper's headline Delta
 // run plus the classic parameter sweeps, all phantom-mode and

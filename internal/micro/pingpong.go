@@ -10,7 +10,7 @@
 // numbers double as a regression canary: the bounce exercises the raw
 // mailbox send/receive path, and each size closes with a symmetric
 // exchange plus a world broadcast, which exercises the fused-collective
-// engine — sharded or not — so any change to either path shows up as a
+// engine, so any change to either path shows up as a
 // byte-level diff in this workload's output.
 package micro
 
@@ -48,7 +48,7 @@ func DefaultSizes(maxBytes int) []int {
 type Config struct {
 	// Procs is the number of processes in the run; the bouncing pair is
 	// ranks 0 and Peer, everyone else only joins the per-size broadcast.
-	// 0 means 16 — enough ranks that engine sharding is non-trivial.
+	// 0 means 16 — enough ranks that the world broadcast is a real tree.
 	Procs int
 	// Peer is rank 0's partner. 0 picks Procs-1, the farthest rank of the
 	// run (contiguous ranks sit on neighboring mesh nodes, so the default
@@ -65,10 +65,6 @@ type Config struct {
 	// next receive boundary and the run returns Ctx.Err(). A nil Ctx
 	// preserves run-to-completion behavior.
 	Ctx context.Context
-	// Shards partitions the simulation's collective engine across host
-	// cores (nx.Config.Shards); 0 uses the process-wide -sim-shards
-	// default. Results are bit-identical for every value.
-	Shards int
 }
 
 // Point reports one size of the sweep.
@@ -122,7 +118,7 @@ func Run(cfg Config) (*Outcome, error) {
 	}
 
 	rts := make([]float64, len(sizes))
-	res, err := nx.Run(nx.Config{Model: cfg.Model, Procs: procs, Ctx: cfg.Ctx, Shards: cfg.Shards}, func(p *nx.Proc) {
+	res, err := nx.Run(nx.Config{Model: cfg.Model, Procs: procs, Ctx: cfg.Ctx}, func(p *nx.Proc) {
 		for si, nb := range sizes {
 			switch p.Rank() {
 			case 0:
@@ -142,8 +138,7 @@ func Run(cfg Config) (*Outcome, error) {
 			}
 			// Every rank joins a broadcast between sizes: it keeps the
 			// idle ranks in the program (so the sweep canaries the fused
-			// engine at full width, cross-shard included) and separates
-			// the sizes in the trace.
+			// engine at full width) and separates the sizes in the trace.
 			p.World().BcastPhantom(0, 8)
 		}
 	})

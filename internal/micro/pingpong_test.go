@@ -8,27 +8,29 @@ import (
 
 	"repro/internal/harness"
 	"repro/internal/machine"
+	"repro/internal/nx"
 )
 
-// The sweep must be bit-identical for every engine shard count — it is
-// the cheap canary the big differential suites lean on.
+// The sweep must be bit-identical on the fused engine and on the tree
+// message path (the semantic oracle) — it is the cheap canary the big
+// differential suites lean on.
 func TestPingPongShardDifferential(t *testing.T) {
-	run := func(shards int) *Outcome {
-		out, err := Run(Config{Procs: 16, Shards: shards, Model: machine.Delta()})
+	run := func(mode nx.CollectiveMode) *Outcome {
+		prev := nx.DefaultCollectives()
+		nx.SetDefaultCollectives(mode)
+		defer nx.SetDefaultCollectives(prev)
+		out, err := Run(Config{Procs: 16, Model: machine.Delta()})
 		if err != nil {
-			t.Fatalf("Shards=%d: %v", shards, err)
+			t.Fatalf("%v: %v", mode, err)
 		}
 		return out
 	}
-	base := run(1)
-	for _, shards := range []int{2, 4, 8} {
-		got := run(shards)
-		if !reflect.DeepEqual(got.Points, base.Points) {
-			t.Errorf("Shards=%d: points diverge from Shards=1:\n got %+v\nwant %+v", shards, got.Points, base.Points)
-		}
-		if !reflect.DeepEqual(got.Run, base.Run) {
-			t.Errorf("Shards=%d: run stats diverge from Shards=1", shards)
-		}
+	tree, fused := run(nx.CollectivesTree), run(nx.CollectivesFused)
+	if !reflect.DeepEqual(fused.Points, tree.Points) {
+		t.Errorf("points diverge:\n fused %+v\n tree  %+v", fused.Points, tree.Points)
+	}
+	if !reflect.DeepEqual(fused.Run, tree.Run) {
+		t.Errorf("run stats diverge:\n fused %+v\n tree  %+v", fused.Run, tree.Run)
 	}
 }
 

@@ -247,17 +247,13 @@ type traceSpan struct {
 // collective number baseSeq+i. Completed-and-settled rendezvous are
 // recycled through free, so steady-state collectives allocate nothing.
 //
-// All slot and rendezvous state is guarded by the mutex of the slot's
-// home engine shard (groupSlot.home, see shard.go): the shard homing
-// every member when the list is intra-shard, the runtime's cross engine
-// otherwise. The engine's critical sections are tens of nanoseconds, so
-// one lock acquisition per posting beats fine-grained per-slot locks —
-// with per-slot locks every symbolic entry pays a second acquisition to
-// register with its dependency and a third to resolve, which profiling
-// shows costs more than the serialization a shard-wide lock introduces.
-// Cross-engine dependencies (an entry whose prev rendezvous lives on a
-// different engine) use a hand-off protocol that never holds two engine
-// locks at once; see fusedPost, registerCrossDep and drainCross.
+// All slot and rendezvous state is guarded by the runtime's engine
+// mutex (runtime.mu). The engine's critical sections are tens of
+// nanoseconds, so one lock acquisition per posting beats fine-grained
+// per-slot locks — with per-slot locks every symbolic entry pays a second
+// acquisition to register with its dependency and a third to resolve,
+// which profiling shows costs more than the serialization a run-wide
+// lock introduces.
 //
 // Sequencing is sound because a member's posts on a slot are numbered by
 // the slot's per-member count and program order ties those numbers
@@ -269,7 +265,6 @@ type traceSpan struct {
 // detects the resulting double entry and panics instead of corrupting
 // clocks.)
 type groupSlot struct {
-	home    *engineShard // the engine instance whose mu guards this slot
 	ring    []*rendezvous
 	baseSeq int
 	counts  []int // per-member posts so far; a post's number is its member's count
@@ -279,8 +274,8 @@ type groupSlot struct {
 
 // rendezvous collects the entries of one collective and, once complete,
 // the per-member releases. The slices and the engine's scratch are pooled
-// across the collectives of a slot. All fields are guarded by the slot's
-// home engine mutex (slot.home.mu).
+// across the collectives of a slot. All fields are guarded by the engine
+// mutex (runtime.mu).
 type rendezvous struct {
 	slot       *groupSlot
 	entries    []fusedEntry
@@ -289,15 +284,14 @@ type rendezvous struct {
 	unresolved int // entries still symbolic (their prev not done)
 	// done and settled are atomic so the settle fast path (tail already
 	// complete) runs without the engine lock: done is written under the
-	// home lock but read lock-free, and rels are immutable once done is
-	// observed — which also lets cross-engine resolvers read a completed
-	// rendezvous' releases without touching its home lock.
+	// lock but read lock-free, and rels are immutable once done is
+	// observed.
 	done    atomic.Bool
-	retired bool // fully settled; awaiting head-order recycling (under home lock)
+	retired bool // fully settled; awaiting head-order recycling (under the lock)
 	settled atomic.Int32
 	rels    []fusedRelease
 	deps    []fusedDep // entries elsewhere waiting on this completion
-	waiters []*Proc    // settlers parked for this completion (under home lock)
+	waiters []*Proc    // settlers parked for this completion (under the lock)
 
 	// Engine scratch, sized to the group on first use.
 	arr  []float64   // per-member arrival times
@@ -318,23 +312,40 @@ type pendRef struct {
 	idx int
 }
 
-// slot returns (creating on first use) the rendezvous anchor for a member
-// list, keyed by its packed encoding. Slots live in the map of their home
-// engine (the homing shard, or the cross engine for lists spanning
-// shards), so two engines can serve disjoint member lists without sharing
-// a lock. members is recorded on the slot at creation (exchange callers
-// replay from it; every caller passes an identical list for a given key).
-func (rt *runtime) slot(key string, members []int) *groupSlot {
-	es := rt.homeOf(members)
-	es.mu.Lock()
-	defer es.mu.Unlock()
-	if es.slots == nil {
-		es.slots = make(map[string]*groupSlot)
+// adaptivePendLimit sizes a member's deferred-settlement window from the
+// process count. The window bounds in-flight rendezvous per slot (memory)
+// and how much work a cancelled run finishes before parking (latency),
+// while deeper windows batch more collective chains per host park. Small
+// runs keep a modest floor so tests still exercise deferral; large runs
+// saturate at 64 — on cold E4 a 128-deep window measured ~15% slower
+// than 64 (more live rendezvous per slot than the cache likes) while 32
+// and 64 tie, so the cap sits at the shallowest depth that keeps the
+// batching win.
+func adaptivePendLimit(n int) int {
+	l := n / 4
+	if l < 16 {
+		l = 16
 	}
-	s := es.slots[key]
+	if l > 64 {
+		l = 64
+	}
+	return l
+}
+
+// slot returns (creating on first use) the rendezvous anchor for a member
+// list, keyed by its packed encoding. members is recorded on the slot at
+// creation (exchange callers replay from it; every caller passes an
+// identical list for a given key).
+func (rt *runtime) slot(key string, members []int) *groupSlot {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	if rt.slots == nil {
+		rt.slots = make(map[string]*groupSlot)
+	}
+	s := rt.slots[key]
 	if s == nil {
-		s = &groupSlot{home: es, members: members, counts: make([]int, len(members))}
-		es.slots[key] = s
+		s = &groupSlot{members: members, counts: make([]int, len(members))}
+		rt.slots[key] = s
 	}
 	return s
 }
@@ -426,39 +437,20 @@ func fusedRendezvous(p *Proc, s *groupSlot, me int, lazy bool, e *fusedEntry) pa
 // groups stay aligned exactly as they do on the tree path), resolves or
 // registers the entry's symbolic dependency, and runs the completion
 // cascade when this event makes a rendezvous computable.
-//
-// When the entry's prev rendezvous is homed on a different engine shard,
-// its dependency cannot be registered under this slot's lock — the engine
-// never holds two shard locks at once — so the post marks the entry
-// unresolved, drops the lock, and hands the dependency to
-// registerCrossDep; cascades likewise park deps of foreign rendezvous on
-// p.crossBuf, drained one engine at a time by drainCross.
 func fusedPost(p *Proc, s *groupSlot, me int, e *fusedEntry) *rendezvous {
-	r, prevCross := fusedPostLocked(p, s, me, e)
-	if prevCross != nil {
-		registerCrossDep(p, prevCross, r, me)
-	}
-	drainCross(p)
-	return r
-}
-
-// fusedPostLocked is fusedPost's critical section under the slot's home
-// lock. A cross-engine dependency is returned (not registered) so the
-// caller can take the other engine's lock after this one drops.
-func fusedPostLocked(p *Proc, s *groupSlot, me int, e *fusedEntry) (r *rendezvous, prevCross *rendezvous) {
-	es := s.home
+	rt := p.rt
 	k := len(s.members)
-	es.mu.Lock()
+	rt.mu.Lock()
 	// The deferred drain doubles as the waker: completions collected by
 	// a cascade are signalled after the lock drops (and even if the
 	// replay panics, so teardown does not deadlock on the engine lock).
-	defer drainWake(es)
+	defer drainWake(rt)
 	idx := s.counts[me] - s.baseSeq
 	s.counts[me]++
 	for idx >= len(s.ring) {
 		s.ring = append(s.ring, s.takeFree(k))
 	}
-	r = s.ring[idx]
+	r := s.ring[idx]
 	if len(r.entries) != k || r.present[me] {
 		panic(fmt.Sprintf("nx: rank %d: overlapping fused collectives on one member list "+
 			"(distinct same-member groups used concurrently?)", p.rank)) // defer unlocks
@@ -467,32 +459,26 @@ func fusedPostLocked(p *Proc, s *groupSlot, me int, e *fusedEntry) (r *rendezvou
 	r.present[me] = true
 	r.arrived++
 	if e.prev != nil {
-		switch {
-		case e.prev.done.Load():
-			// rels are immutable once done is observed, so resolving here
-			// is safe even when prev is homed elsewhere.
+		if e.prev.done.Load() {
 			resolveEntry(r, me)
-		case e.prev.slot.home == es:
+		} else {
 			r.unresolved++
 			e.prev.deps = append(e.prev.deps, fusedDep{r: r, idx: me})
-		default:
-			r.unresolved++
-			prevCross = e.prev
 		}
 	}
 	if r.arrived == k && r.unresolved == 0 {
-		fusedCascade(p, es, r)
+		fusedCascade(p, r)
 	}
-	return r, prevCross
+	return r
 }
 
-// drainWake unlocks es after moving its pending wake list aside, then
+// drainWake unlocks rt.mu after moving the pending wake list aside, then
 // signals the wakeups outside the lock, so a completion waking many
 // members cannot convoy on the engine lock.
-func drainWake(es *engineShard) {
-	toWake := es.wake
-	es.wake = nil
-	es.mu.Unlock()
+func drainWake(rt *runtime) {
+	toWake := rt.wake
+	rt.wake = nil
+	rt.mu.Unlock()
 	for _, wp := range toWake {
 		select {
 		case wp.wakeCh <- struct{}{}:
@@ -501,51 +487,10 @@ func drainWake(es *engineShard) {
 	}
 }
 
-// registerCrossDep registers rendezvous r's entry idx (already counted
-// unresolved under r's home lock) with its prev on a different engine.
-// The registration races prev's completion; prev's home lock arbitrates:
-// either the dep lands on prev.deps before prev completes (the completing
-// cascade resolves it), or prev is already done and this poster resolves
-// it itself via the cross buffer. Exactly one side ever owns the dep.
-func registerCrossDep(p *Proc, prev, r *rendezvous, idx int) {
-	ph := prev.slot.home
-	ph.mu.Lock()
-	if !prev.done.Load() {
-		prev.deps = append(prev.deps, fusedDep{r: r, idx: idx})
-		ph.mu.Unlock()
-		return
-	}
-	ph.mu.Unlock()
-	p.crossBuf = append(p.crossBuf, fusedDep{r: r, idx: idx})
-}
-
-// drainCross resolves the cross-engine dependencies parked on p.crossBuf:
-// each dep's prev is done (rels immutable), so the resolution needs only
-// the dep's own home lock. Cascades run while that lock is held and may
-// park further cross deps on the buffer; the loop takes one engine lock
-// at a time, so shards never deadlock on lock order.
-func drainCross(p *Proc) {
-	for len(p.crossBuf) > 0 {
-		n := len(p.crossBuf)
-		d := p.crossBuf[n-1]
-		p.crossBuf = p.crossBuf[:n-1]
-		func() {
-			es := d.r.slot.home
-			es.mu.Lock()
-			defer drainWake(es)
-			resolveEntry(d.r, d.idx)
-			d.r.unresolved--
-			if d.r.arrived == len(d.r.entries) && d.r.unresolved == 0 {
-				fusedCascade(p, es, d.r)
-			}
-		}()
-	}
-}
-
 // takeFree returns a recycled (or fresh) rendezvous sized for k members.
 // Entries are left dirty — every member overwrites its own before the
 // rendezvous can compute — only the presence bits are cleared. Caller
-// holds the slot's home engine lock.
+// holds the engine lock.
 func (s *groupSlot) takeFree(k int) *rendezvous {
 	var r *rendezvous
 	if n := len(s.free); n > 0 {
@@ -577,8 +522,7 @@ func (s *groupSlot) takeFree(k int) *rendezvous {
 
 // resolveEntry makes a symbolic entry concrete from its (completed)
 // dependency: the exact advance sequence the member recorded, replayed on
-// the release clock. Caller holds r's home engine lock; prev's releases
-// are readable lock-free because prev is done.
+// the release clock. Caller holds the engine lock.
 func resolveEntry(r *rendezvous, i int) {
 	e := &r.entries[i]
 	base := &e.prev.rels[e.prevIdx]
@@ -592,16 +536,14 @@ func resolveEntry(r *rendezvous, i int) {
 	e.deltas = nil
 }
 
-// fusedCascade replays a computable rendezvous homed on es and cascades:
-// completing one rendezvous resolves symbolic entries registered on it,
-// which can make further rendezvous computable. The worklist keeps the
-// cascade iterative; the whole cascade runs under es.mu (the replays are
-// pure arithmetic on state the lock already guards). Dependencies of
-// rendezvous homed on other engines cannot be touched under this lock;
-// they are parked on p.crossBuf for drainCross to resolve after es.mu
-// drops.
-func fusedCascade(p *Proc, es *engineShard, r *rendezvous) {
-	work := es.cascade[:0]
+// fusedCascade replays a computable rendezvous and cascades: completing
+// one rendezvous resolves symbolic entries registered on it, which can
+// make further rendezvous computable. The worklist keeps the cascade
+// iterative; the whole cascade runs under the engine lock (the replays
+// are pure arithmetic on state the lock already guards).
+func fusedCascade(p *Proc, r *rendezvous) {
+	rt := p.rt
+	work := rt.cascade[:0]
 	work = append(work, r)
 	for len(work) > 0 {
 		r := work[len(work)-1]
@@ -609,14 +551,10 @@ func fusedCascade(p *Proc, es *engineShard, r *rendezvous) {
 		fusedCompute(p, r)
 		r.done.Store(true)
 		if len(r.waiters) > 0 {
-			es.wake = append(es.wake, r.waiters...)
+			rt.wake = append(rt.wake, r.waiters...)
 			r.waiters = r.waiters[:0]
 		}
 		for _, d := range r.deps {
-			if d.r.slot.home != es {
-				p.crossBuf = append(p.crossBuf, d)
-				continue
-			}
 			resolveEntry(d.r, d.idx)
 			d.r.unresolved--
 			if d.r.arrived == len(d.r.entries) && d.r.unresolved == 0 {
@@ -625,7 +563,7 @@ func fusedCascade(p *Proc, es *engineShard, r *rendezvous) {
 		}
 		r.deps = r.deps[:0]
 	}
-	es.cascade = work
+	rt.cascade = work
 }
 
 // settle applies this member's outstanding releases: park until the tail
@@ -645,13 +583,12 @@ func (p *Proc) settle() payload {
 		// channel — woken settlers never touch the engine lock, so a
 		// completion waking many members cannot convoy on it. A stale
 		// token from an earlier wakeup just spins the loop once.
-		h := tail.r.slot.home
-		h.mu.Lock()
+		rt.mu.Lock()
 		registered := !tail.r.done.Load()
 		if registered {
 			tail.r.waiters = append(tail.r.waiters, p)
 		}
-		h.mu.Unlock()
+		rt.mu.Unlock()
 		if registered {
 			// The blocked flag keeps the deadlock watchdog honest: a
 			// member parked here counts as blocked exactly like one
@@ -684,12 +621,10 @@ func (p *Proc) settle() payload {
 	out := last.pl
 	clock, recvWait := last.clock, last.recvWait
 
-	// Retire the chain. Only a rendezvous' final settler takes its home
+	// Retire the chain. Only a rendezvous' final settler takes the engine
 	// lock; recycling is head-driven per slot, so it is indifferent to
-	// which final mark reaches the lock first. A chain can span engines
-	// (intra-shard and cross-shard collectives interleaved), so the lock
-	// switches per home — one at a time, never two held together.
-	var locked *engineShard
+	// which final mark reaches the lock first.
+	locked := false
 	for _, pr := range p.pend {
 		// Read the member count before the settled mark: the mark
 		// releases this member's claim on the rendezvous, after which a
@@ -698,12 +633,9 @@ func (p *Proc) settle() payload {
 		if pr.r.settled.Add(1) != k {
 			continue
 		}
-		if h := pr.r.slot.home; locked != h {
-			if locked != nil {
-				locked.mu.Unlock()
-			}
-			h.mu.Lock()
-			locked = h
+		if !locked {
+			rt.mu.Lock()
+			locked = true
 		}
 		pr.r.retired = true
 		s := pr.r.slot
@@ -714,8 +646,8 @@ func (p *Proc) settle() payload {
 			s.free = append(s.free, head)
 		}
 	}
-	if locked != nil {
-		locked.mu.Unlock()
+	if locked {
+		rt.mu.Unlock()
 	}
 
 	p.clock.MergeAtLeast(clock)

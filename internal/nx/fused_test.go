@@ -1,11 +1,14 @@
 package nx
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
 	"testing"
+	"time"
 
 	"repro/internal/machine"
 	"repro/internal/trace"
@@ -361,4 +364,267 @@ func TestFusedGroupStatsMatchSingleProc(t *testing.T) {
 		return res
 	}
 	assertResultsEqual(t, run(CollectivesTree), run(CollectivesFused))
+}
+
+// Mixed-traffic differentials. The programs below interleave fused
+// collectives with pairwise exchange batches, point-to-point traffic and
+// mid-program clock samples — the traffic that forces deferred chains to
+// settle part-way — and run each once on the tree message path (the
+// semantic oracle) and once on the fused engine. They keep the TestShard
+// prefix CI's race step selects them by.
+
+// runWindow runs body under the given collective mode, with a deferred-
+// settlement window override for fused runs (0 = adaptive default).
+func runWindow(t *testing.T, model machine.Model, mode CollectiveMode, window int, body func(p *Proc)) *Result {
+	t.Helper()
+	res, err := Run(Config{Model: model, Collectives: mode, pendLimit: window}, body)
+	if err != nil {
+		t.Fatalf("%v window=%d run: %v", mode, window, err)
+	}
+	return res
+}
+
+// TestShardDifferentialRandomPrograms sweeps random collective scripts —
+// a random member subset, a contiguous block group overlapping it,
+// pairwise exchange batches, per-member compute skew, mid-program clock
+// samples — and asserts bit-identical results and exit clocks against
+// the tree path.
+func TestShardDifferentialRandomPrograms(t *testing.T) {
+	shapes := [][2]int{{1, 2}, {2, 2}, {1, 7}, {3, 5}, {4, 8}, {2, 16}}
+	for trial := 0; trial < 24; trial++ {
+		trial := trial
+		t.Run(fmt.Sprintf("trial%02d", trial), func(t *testing.T) {
+			shape := shapes[trial%len(shapes)]
+			model := diffModel(shape[0], shape[1])
+			procs := model.Nodes()
+			rng := rand.New(rand.NewSource(int64(4000 + trial)))
+			members := randMembers(rng, procs)
+			block := make([]int, 1+procs/3)
+			for i := range block {
+				block[i] = i
+			}
+			type op struct {
+				kind   int
+				root   int
+				size   int
+				exch   int // pairwise exchange batch length (0 = none)
+				sample bool
+				skews  []float64
+			}
+			ops := make([]op, 8+rng.Intn(8))
+			for i := range ops {
+				o := &ops[i]
+				o.kind = rng.Intn(6)
+				o.root = rng.Intn(len(members))
+				o.size = rng.Intn(5)
+				if rng.Intn(3) == 0 {
+					o.exch = 1 + rng.Intn(5)
+				}
+				o.sample = rng.Intn(3) == 0
+				o.skews = make([]float64, procs)
+				for r := range o.skews {
+					if rng.Intn(2) == 0 {
+						o.skews[r] = rng.Float64() * 1e-3
+					}
+				}
+			}
+
+			run := func(mode CollectiveMode) (*Result, [][]float64) {
+				exits := make([][]float64, procs)
+				body := func(p *Proc) {
+					me := -1
+					for i, m := range members {
+						if m == p.Rank() {
+							me = i
+						}
+					}
+					var g, bg *Group
+					if me >= 0 {
+						g = p.Group(members)
+					}
+					if p.Rank() < len(block) {
+						bg = p.Group(block)
+					}
+					for _, o := range ops {
+						p.Compute(machine.OpVector, o.skews[p.Rank()]*1e9)
+						if o.exch > 0 {
+							if peer := p.Rank() ^ 1; peer < procs {
+								p.ExchangeBatchPhantom(peer, Tag(5), 8*o.exch, o.exch)
+							}
+						}
+						switch {
+						case g != nil:
+							switch o.kind {
+							case 0:
+								g.Barrier()
+							case 1:
+								g.BcastPhantom(o.root, 64+o.size)
+							case 2:
+								g.ReducePhantom(o.root, 8*(1+o.size))
+							case 3:
+								g.AllreducePhantom(o.root, 16)
+							case 4:
+								xs := []float64{float64(me) * 0.25, float64(o.size)}
+								got := g.AllreduceFloats(xs, SumOp)
+								exits[p.Rank()] = append(exits[p.Rank()], got...)
+							case 5:
+								g.BcastFlatPhantom(o.root, 32+o.size)
+							}
+						default:
+							p.Compute(machine.OpScalar, 500)
+						}
+						if bg != nil && o.kind%2 == 0 {
+							bg.BcastPhantom(0, 128)
+						}
+						if o.sample {
+							exits[p.Rank()] = append(exits[p.Rank()], p.Now())
+						}
+					}
+					exits[p.Rank()] = append(exits[p.Rank()], p.Now())
+				}
+				return runWindow(t, model, mode, 0, body), exits
+			}
+
+			tree, treeExits := run(CollectivesTree)
+			fused, fusedExits := run(CollectivesFused)
+			assertResultsEqual(t, tree, fused)
+			for r := 0; r < procs; r++ {
+				if !reflect.DeepEqual(treeExits[r], fusedExits[r]) {
+					t.Fatalf("proc %d exit clocks diverge:\n tree  %v\n fused %v", r, treeExits[r], fusedExits[r])
+				}
+			}
+		})
+	}
+}
+
+// TestShardDifferentialResults pins the full Result (stats, totals,
+// makespan) of one fixed collective-heavy program: overlapping row and
+// world groups plus exchange batches between distant rows.
+func TestShardDifferentialResults(t *testing.T) {
+	model := diffModel(4, 8)
+	procs := model.Nodes()
+	body := func(p *Proc) {
+		w := p.World()
+		lo := (p.Rank() / 8) * 8
+		row := p.Group([]int{lo, lo + 1, lo + 2, lo + 3, lo + 4, lo + 5, lo + 6, lo + 7})
+		for it := 0; it < 30; it++ {
+			p.Compute(machine.OpGemm, float64(1+p.Rank()%5)*1e4)
+			row.BcastPhantom(it%8, 256)
+			w.AllreducePhantom(0, 16)
+			if it%4 == 0 {
+				if peer := p.Rank() ^ 8; peer < procs {
+					p.ExchangeBatchPhantom(peer, Tag(3), 64, 3)
+				}
+			}
+		}
+	}
+	assertResultsEqual(t, runWindow(t, model, CollectivesTree, 0, body), runWindow(t, model, CollectivesFused, 0, body))
+}
+
+// TestShardPendLimitWindows pins bit-identical virtual times across
+// deferred-settlement window sizes — the adaptive window must be a pure
+// host-side batching knob.
+func TestShardPendLimitWindows(t *testing.T) {
+	model := diffModel(2, 8)
+	procs := model.Nodes()
+	body := func(p *Proc) {
+		w := p.World()
+		for it := 0; it < 200; it++ {
+			p.Compute(machine.OpVector, float64(p.Rank()*100+it))
+			w.BcastPhantom(it%procs, 64)
+			w.ReducePhantom(0, 8)
+			if it%17 == 0 {
+				if peer := p.Rank() ^ 1; peer < procs {
+					p.ExchangeBatchPhantom(peer, Tag(2), 16, 2)
+				}
+			}
+		}
+	}
+	tree := runWindow(t, model, CollectivesTree, 0, body)
+	for _, window := range []int{1, 2, 7, 64, 128, 1024} {
+		t.Run(fmt.Sprintf("window%d", window), func(t *testing.T) {
+			assertResultsEqual(t, tree, runWindow(t, model, CollectivesFused, window, body))
+		})
+	}
+}
+
+// TestShardExchangeBatchDifferential: a fused exchange batch must be
+// bit-identical to the hand-written SendPhantom/Recv loop, and both to
+// the batch on the tree path.
+func TestShardExchangeBatchDifferential(t *testing.T) {
+	model := diffModel(2, 4)
+	procs := model.Nodes()
+	script := func(batched bool) func(p *Proc) {
+		return func(p *Proc) {
+			peer := procs - 1 - p.Rank() // distant peer: the most hops
+			w := p.World()
+			for it := 0; it < 12; it++ {
+				p.Compute(machine.OpVector, float64(1000*(p.Rank()+1)))
+				if batched {
+					p.ExchangeBatchPhantom(peer, Tag(9), 8*(1+it%3), 4)
+				} else {
+					for k := 0; k < 4; k++ {
+						p.SendPhantom(peer, Tag(9), 8*(1+it%3))
+						p.Recv(peer, Tag(9))
+					}
+				}
+				w.AllreducePhantom(0, 16)
+			}
+		}
+	}
+	tree := runWindow(t, model, CollectivesTree, 0, script(true))
+	assertResultsEqual(t, tree, runWindow(t, model, CollectivesFused, 0, script(false)))
+	assertResultsEqual(t, tree, runWindow(t, model, CollectivesFused, 0, script(true)))
+}
+
+// TestShardTraceDifferential: with a Recorder attached, the fused engine
+// must emit the tree path's span stream, exchange batches included.
+func TestShardTraceDifferential(t *testing.T) {
+	model := diffModel(2, 4)
+	run := func(mode CollectiveMode) []trace.Record {
+		rec := trace.NewRecorder(model.Nodes())
+		_, err := Run(Config{Model: model, Trace: rec, Collectives: mode}, func(p *Proc) {
+			g := p.World()
+			p.Compute(machine.OpGemm, float64(1e6*(p.Rank()+1)))
+			g.Barrier()
+			g.BcastPhantom(0, 1024)
+			if peer := p.Rank() ^ 1; peer < p.Size() {
+				p.ExchangeBatchPhantom(peer, Tag(1), 32, 2)
+			}
+			g.AllreducePhantom(0, 8)
+		})
+		if err != nil {
+			t.Fatalf("%v: %v", mode, err)
+		}
+		return rec.Records()
+	}
+	tree, fused := run(CollectivesTree), run(CollectivesFused)
+	if !reflect.DeepEqual(tree, fused) {
+		t.Fatalf("trace records diverge: tree %d records, fused %d", len(tree), len(fused))
+	}
+}
+
+// TestShardCancelPromptlyStopsShards: cancelling the Ctx of a 32-process
+// fused run whose members park in settle (Barrier) must unblock every
+// process and return promptly — Run's own WaitGroup guarantees no
+// process goroutine outlives the return.
+func TestShardCancelPromptlyStopsShards(t *testing.T) {
+	model := diffModel(4, 8)
+	ctx, cancel := context.WithCancel(context.Background())
+	time.AfterFunc(30*time.Millisecond, cancel)
+	start := time.Now()
+	_, err := Run(Config{Model: model, Ctx: ctx, Collectives: CollectivesFused}, func(p *Proc) {
+		w := p.World()
+		for {
+			p.Compute(machine.OpVector, 100)
+			w.AllreducePhantom(0, 8)
+			w.Barrier() // settles: parks in the fused wait
+		}
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if d := time.Since(start); d > 5*time.Second {
+		t.Fatalf("cancelled run took %v to return", d)
+	}
 }

@@ -69,15 +69,6 @@ type Config struct {
 	// rendezvous (the default) or the legacy per-edge tree messages.
 	// Both produce bit-identical virtual times and stats; see fused.go.
 	Collectives CollectiveMode
-	// Shards partitions the fused-collective engine across host cores:
-	// processes split into that many contiguous rank ranges, each with
-	// its own engine lock, slot map and mailbox pool, with cross-shard
-	// member lists settled through one extra rendezvous layer (see
-	// shard.go). 0 means the process-wide default (SetDefaultShards /
-	// the -sim-shards flag / HPCC_SIM_SHARDS, normally 1); counts above
-	// the process count are clamped. Virtual times, stats and traces
-	// are bit-identical for every shard count.
-	Shards int
 	// pendLimit overrides the adaptive deferred-settlement window
 	// (tests only; 0 = adaptivePendLimit of the process count).
 	pendLimit int
@@ -176,56 +167,30 @@ func Run(cfg Config, body func(p *Proc)) (*Result, error) {
 	if mode == CollectivesAuto {
 		mode = DefaultCollectives()
 	}
-	shards := cfg.Shards
-	if shards == 0 {
-		shards = DefaultShards()
-	}
-	if shards < 1 {
-		return nil, fmt.Errorf("nx: Shards=%d invalid (want >= 1, or 0 for the default)", cfg.Shards)
-	}
-	if shards > n {
-		shards = n
-	}
 	pendLimit := cfg.pendLimit
 	if pendLimit <= 0 {
 		pendLimit = adaptivePendLimit(n)
 	}
 	rt := &runtime{
 		procs:     make([]*Proc, n),
-		shardIdx:  make([]int32, n),
-		shards:    make([]*engineShard, shards),
 		traceOn:   cfg.Trace != nil,
 		pendLimit: pendLimit,
 	}
-	for si := range rt.shards {
-		// Balanced contiguous partition: shard si homes ranks
-		// [si*n/S, (si+1)*n/S). The Proc structs of a shard (mailboxes
-		// included) are one contiguous allocation, so a shard's hot
-		// state stays in its own region of the heap.
-		lo, hi := si*n/shards, (si+1)*n/shards
-		es := &engineShard{procs: make([]*Proc, 0, hi-lo)}
-		backing := make([]Proc, hi-lo)
-		for i := lo; i < hi; i++ {
-			p := &backing[i-lo]
-			p.rank, p.size, p.model = i, n, cfg.Model
-			p.rt = rt
-			p.fused = mode == CollectivesFused
-			p.wakeCh = make(chan struct{}, 1)
-			p.initCaches()
-			p.mbox.init()
-			if cfg.Trace != nil {
-				p.tview = cfg.Trace.Proc(i)
-			}
-			rt.procs[i] = p
-			rt.shardIdx[i] = int32(si)
-			es.procs = append(es.procs, p)
+	// The Proc structs (mailboxes included) are one contiguous
+	// allocation, so the run's hot per-process state stays together.
+	backing := make([]Proc, n)
+	for i := range backing {
+		p := &backing[i]
+		p.rank, p.size, p.model = i, n, cfg.Model
+		p.rt = rt
+		p.fused = mode == CollectivesFused
+		p.wakeCh = make(chan struct{}, 1)
+		p.initCaches()
+		p.mbox.init()
+		if cfg.Trace != nil {
+			p.tview = cfg.Trace.Proc(i)
 		}
-		rt.shards[si] = es
-	}
-	if shards == 1 {
-		rt.cross = rt.shards[0]
-	} else {
-		rt.cross = &engineShard{}
+		rt.procs[i] = p
 	}
 
 	var wg sync.WaitGroup
@@ -252,7 +217,7 @@ func Run(cfg Config, body func(p *Proc)) (*Result, error) {
 
 	// Deadlock watchdog: if every process is blocked in recv and no
 	// deliveries happen across a quiescence window, the run cannot make
-	// progress. The counters it sums are sharded per process (see
+	// progress. The counters it sums are kept per process (see
 	// mailbox.sent/blocked), so the watchdog pays the aggregation cost —
 	// a few hundred atomic loads four times per second — instead of the
 	// hot path paying a contended atomic per message.
@@ -339,30 +304,28 @@ type runtime struct {
 	procs   []*Proc
 	traceOn bool // cfg.Trace was set; fused releases carry trace spans
 
-	// The fused-collective engine, sharded (see shard.go): shards[i]
-	// homes a contiguous rank range (shardIdx maps rank -> shard), and
-	// cross is the rendezvous layer for member lists spanning shards
-	// (== shards[0] when there is only one shard). slotsAborted poisons
-	// fused waits once the run tears down. pendLimit bounds each
+	// The fused-collective engine. mu guards the slot map and every
+	// slot's and rendezvous' state, plus the pooled cascade worklist and
+	// the wake list drained after mu drops (see fused.go). slotsAborted
+	// poisons fused waits once the run tears down. pendLimit bounds each
 	// member's deferred-settlement chain (see adaptivePendLimit).
-	shards       []*engineShard
-	cross        *engineShard
-	shardIdx     []int32
+	mu           sync.Mutex
+	slots        map[string]*groupSlot
+	cascade      []*rendezvous
+	wake         []*Proc
 	slotsAborted atomic.Bool
 	pendLimit    int
 }
 
-// counters aggregates the per-process watchdog shards, shard by shard:
-// how many processes are blocked (in a receive or a fused-collective
-// rendezvous) right now, and the total messages sent so far.
+// counters aggregates the per-process watchdog counters: how many
+// processes are blocked (in a receive or a fused-collective rendezvous)
+// right now, and the total messages sent so far.
 func (rt *runtime) counters() (blocked int, puts uint64) {
-	for _, es := range rt.shards {
-		for _, p := range es.procs {
-			if p.mbox.blocked.Load() != 0 {
-				blocked++
-			}
-			puts += p.mbox.sent.Load()
+	for _, p := range rt.procs {
+		if p.mbox.blocked.Load() != 0 {
+			blocked++
 		}
+		puts += p.mbox.sent.Load()
 	}
 	return blocked, puts
 }

@@ -35,10 +35,8 @@ type Proc struct {
 	// completions and run teardown signal it, so woken settlers never
 	// re-acquire the engine lock.
 	wakeCh chan struct{}
-	// crossBuf is this goroutine's scratch of cross-engine dependencies
-	// awaiting resolution (see drainCross); exchSlots caches per-peer
-	// exchange rendezvous anchors (see ExchangeBatchPhantom).
-	crossBuf  []fusedDep
+	// exchSlots caches per-peer exchange rendezvous anchors (see
+	// ExchangeBatchPhantom).
 	exchSlots map[int]*groupSlot
 
 	// Hot-path caches derived from model at construction. Method calls on
