@@ -13,8 +13,8 @@
 //	hpcc sweep -param nb -values 4,8,16 linpack/delta
 //	hpcc sweep -journal .hpcc-journal ...   # crash-safe: checkpoint each job
 //	hpcc resume -journal .hpcc-journal      # finish an interrupted sweep
-//	hpcc worker   # shard child: JSONL jobs on stdin, results on stdout
-//	hpcc worker -listen 127.0.0.1:7841   # remote fleet worker over TCP
+//	hpcc worker   # shard child: the wire protocol (hello, jobs, answers) on stdin/stdout
+//	hpcc worker -listen 127.0.0.1:7841   # the same protocol as a remote fleet worker over TCP
 //	hpcc sweep -remote host1:7841,host2:7841   # sweep across a fleet
 //	hpcc serve -addr 127.0.0.1:8080 -cache .hpcc-cache -store .hpcc-store
 //	hpcc diff [-store DIR] [-threshold 0.05] [-json] [old-ref [new-ref]]

@@ -1,15 +1,16 @@
 package analysis
 
 // hpccwire — hygiene at the wire boundary. The remote-execution layer
-// (internal/harness wire.go/remote.go/remoteworker.go, the serve and
-// worker commands in internal/cli) is where errors stop being local: a
-// bare os/net error that crosses a frame tells the far side "broken
-// pipe" with no hint of which shard, which frame, which phase. The repo
-// convention is that every error returned from a wire-boundary function
-// is wrapped with fmt.Errorf("...: %w", err) at the point it enters the
-// boundary. Likewise, goroutines launched inside the boundary must see
-// the ambient context: a goroutine spawned from a ctx-bearing function
-// that captures no ctx outlives cancellation and leaks across runs.
+// (internal/harness wire.go/remote.go/remoteworker.go/pipe.go, the
+// serve and worker commands in internal/cli) is where errors stop being
+// local: a bare os/net error that crosses a frame tells the far side
+// "broken pipe" with no hint of which shard, which frame, which phase.
+// The repo convention is that every error returned from a wire-boundary
+// function is wrapped with fmt.Errorf("...: %w", err) at the point it
+// enters the boundary. Likewise, goroutines launched inside the
+// boundary must see the ambient context: a goroutine spawned from a
+// ctx-bearing function that captures no ctx outlives cancellation and
+// leaks across runs.
 //
 // Scope: the wire-boundary files of repro/internal/harness and
 // repro/internal/cli (by basename, listed below), plus any package that
@@ -42,7 +43,7 @@ var wireBoundaryFiles = map[string]bool{
 	"wire.go":         true,
 	"remote.go":       true,
 	"remoteworker.go": true,
-	"shard.go":        true,
+	"pipe.go":         true,
 	"chaos.go":        true,
 	"worker.go":       true,
 	"serve.go":        true,

@@ -130,7 +130,7 @@ func cmdReport(ctx context.Context, args []string, stdout, stderr io.Writer) err
 	// a SIGINT/SIGTERM stops dispatch at once while in-flight exhibits
 	// finish under the -drain grace; -budget layers on top so an expiry
 	// cancels outright and surfaces as DeadlineExceeded.
-	ex, drains, err := newExecutor(*shards, *jobs, *remote, tf.token, ctx.Done(), stderr)
+	ex, err := newExecutor(*shards, *jobs, *remote, tf.token, ctx.Done(), stderr)
 	if err != nil {
 		return err
 	}
@@ -143,7 +143,7 @@ func cmdReport(ctx context.Context, args []string, stdout, stderr io.Writer) err
 		return err
 	}
 	ex = jf.wrap(wrapExecutor(ex, resultCache), done)
-	jobCtx, stopGrace := df.wrap(ctx, drains)
+	jobCtx, stopGrace := df.wrap(ctx)
 	defer stopGrace()
 	runBase, cancelBudget := bf.apply(jobCtx)
 	defer cancelBudget()
@@ -455,7 +455,7 @@ func cmdSweep(ctx context.Context, args []string, stdout, stderr io.Writer) erro
 	// drained jobCtx that outlives the signal by the -drain grace. The
 	// -budget deadline layers on top so an expiry cancels jobs outright
 	// (it must surface as DeadlineExceeded, not a drain).
-	ex, drains, err := newExecutor(*shards, *jobs, *remote, tf.token, ctx.Done(), stderr)
+	ex, err := newExecutor(*shards, *jobs, *remote, tf.token, ctx.Done(), stderr)
 	if err != nil {
 		return err
 	}
@@ -464,7 +464,7 @@ func cmdSweep(ctx context.Context, args []string, stdout, stderr io.Writer) erro
 		return err
 	}
 	ex = jf.wrap(wrapExecutor(ex, resultCache), done)
-	jobCtx, stopGrace := df.wrap(ctx, drains)
+	jobCtx, stopGrace := df.wrap(ctx)
 	defer stopGrace()
 	runBase, cancelBudget := bf.apply(jobCtx)
 	defer cancelBudget()

@@ -1,8 +1,10 @@
 package cli
 
 // Process-sharded and remote-fleet sweeps: the `hpcc worker` subcommand
-// (stdin/stdout shard child, or with -listen a TCP fleet worker) and the
-// -shards/-remote executor wiring used by sweep and report.
+// (a spawned shard child speaking the wire on stdin/stdout, or with
+// -listen a TCP fleet worker) and the -shards/-remote executor wiring
+// used by sweep and report. Both modes serve the same protocol through
+// harness.RemoteWorkerServer.ServeConn.
 
 import (
 	"context"
@@ -34,10 +36,15 @@ func cmdWorker(ctx context.Context, args []string, stdout, stderr io.Writer) err
 		return parseErr(err)
 	}
 	if fs.NArg() > 0 {
-		return errors.New("worker: takes no arguments (jobs arrive as JSONL on stdin, or over TCP with -listen)")
+		return errors.New("worker: takes no arguments (jobs arrive as JSONL wire frames on stdin, or over TCP with -listen)")
 	}
 	if *listen == "" {
-		return harness.ServeWorker(ctx, harness.Default, os.Stdin, stdout)
+		// A spawned shard child. Its lifetime is its stdin, not ctx: a
+		// Ctrl-C reaches the whole process group, and the parent — still
+		// draining — must get its in-flight answers instead of errors.
+		// The pipe is not an auth boundary, so no token is checked.
+		srv := &harness.RemoteWorkerServer{Registry: harness.Default}
+		return srv.ServeConn(context.WithoutCancel(ctx), harness.StdioConn(os.Stdin, stdout))
 	}
 	ln, err := net.Listen("tcp", *listen)
 	if err != nil {
@@ -53,9 +60,10 @@ func cmdWorker(ctx context.Context, args []string, stdout, stderr io.Writer) err
 }
 
 // tokenFlags carries the shared fleet auth token, registered on every
-// command that speaks the remote wire: worker (checks it at handshake),
-// sweep/report/serve (send it when -remote is set). The default comes
-// from HPCC_TOKEN so a fleet can be keyed once in the environment.
+// command that speaks the remote wire: worker -listen (checks it at
+// handshake), sweep/report/serve (send it when -remote is set). The
+// default comes from HPCC_TOKEN so a fleet can be keyed once in the
+// environment.
 type tokenFlags struct{ token string }
 
 func (tf *tokenFlags) register(fs *flag.FlagSet) {
@@ -103,39 +111,45 @@ func validateExecutorConfig(shards, jobs int, remote string) error {
 }
 
 // newExecutor picks the engine a sweep or report runs on: the in-process
-// pool, (-shards > 0) that many child processes re-exec'ing this
-// binary's worker subcommand, or (-remote) a fleet of `hpcc worker
-// -listen` processes reached over TCP, authenticated with token when one
-// is set.
+// pool, (-remote) a fleet of `hpcc worker -listen` processes reached
+// over TCP and authenticated with token when one is set, or (-shards >
+// 0) the same fleet executor over that many child processes re-exec'ing
+// this binary's worker subcommand. The children are spawned by this
+// process, so the pipe carries no token.
 //
-// drain, when non-nil, is handed to executors that support graceful
-// draining (the pool and -shards: dispatch stops when it fires,
-// in-flight jobs finish). The second return says whether the chosen
-// executor honors it — RemoteExecutor does not, so its callers skip the
-// drain grace and cancel outright on a signal.
-func newExecutor(shards, jobs int, remote, token string, drain <-chan struct{}, stderr io.Writer) (harness.Executor, bool, error) {
+// drain, when non-nil, stops dispatch when it fires; in-flight jobs
+// finish and the sweep returns harness.ErrDrained.
+func newExecutor(shards, jobs int, remote, token string, drain <-chan struct{}, stderr io.Writer) (harness.Executor, error) {
 	if err := validateExecutorConfig(shards, jobs, remote); err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	if remote != "" {
 		addrs, err := splitRemoteAddrs(remote)
 		if err != nil {
-			return nil, false, err
+			return nil, err
 		}
-		return &harness.RemoteExecutor{Addrs: addrs, Registry: harness.Default, Token: token, Stderr: stderr}, false, nil
+		return &harness.RemoteExecutor{Addrs: addrs, Registry: harness.Default, Token: token, Drain: drain, Stderr: stderr}, nil
 	}
 	if shards == 0 {
-		return harness.LocalExecutor{Workers: jobs, Drain: drain}, true, nil
+		return harness.LocalExecutor{Workers: jobs, Drain: drain}, nil
 	}
 	exe, err := os.Executable()
 	if err != nil {
-		return nil, false, fmt.Errorf("shards: locate worker binary: %w", err)
+		return nil, fmt.Errorf("shards: locate worker binary: %w", err)
 	}
-	return &harness.ShardExecutor{
-		Shards: shards,
-		Argv:   []string{exe, "worker"},
-		Env:    []string{workerEnv + "=1"},
-		Stderr: stderr,
+	addrs := make([]string, shards)
+	for i := range addrs {
+		addrs[i] = fmt.Sprintf("shard-%d", i)
+	}
+	return &harness.RemoteExecutor{
+		Addrs:    addrs,
+		Registry: harness.Default,
+		Dial:     harness.SpawnDial([]string{exe, "worker"}, []string{workerEnv + "=1"}),
+		// One job per child, as -shards has always meant: the children
+		// share this host's cores, and a window of 2 measured slower
+		// (`sweep -quick -shards 2` on 2 cores) than 1.
+		Window: 1,
 		Drain:  drain,
-	}, true, nil
+		Stderr: stderr,
+	}, nil
 }

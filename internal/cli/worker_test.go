@@ -145,3 +145,25 @@ func TestShardsFlagShownInHelp(t *testing.T) {
 		}
 	}
 }
+
+// TestSweepShardsIgnoreFleetToken: the pipe to a spawned child is not an
+// auth boundary. A fleet token in the environment, or a different one on
+// the parent's command line, must not make a parent refuse its own
+// children.
+func TestSweepShardsIgnoreFleetToken(t *testing.T) {
+	local, _, code := run(t, "sweep", "-ids", "E1,app/nas-ep", "-quick")
+	if code != 0 {
+		t.Fatalf("local sweep exit %d", code)
+	}
+	t.Setenv("HPCC_TOKEN", "sesame")
+	for _, extra := range [][]string{nil, {"-token", "other"}} {
+		args := append([]string{"sweep", "-ids", "E1,app/nas-ep", "-quick", "-shards", "2"}, extra...)
+		sharded, errOut, code := run(t, args...)
+		if code != 0 {
+			t.Fatalf("%v: exit %d: %s", args, code, errOut)
+		}
+		if sharded != local {
+			t.Fatalf("%v: output differs from the local pool", args)
+		}
+	}
+}

@@ -225,6 +225,96 @@ func TestLocalExecutorDrainStopsDispatchLetsInFlightFinish(t *testing.T) {
 	}
 }
 
+// notifyWriter closes ch on its first write.
+type notifyWriter struct {
+	once sync.Once
+	ch   chan struct{}
+}
+
+func (w *notifyWriter) Write(p []byte) (int, error) {
+	w.once.Do(func() { close(w.ch) })
+	return len(p), nil
+}
+
+// TestRemoteExecutorDrainStopsDispatchLetsInFlightFinish mirrors the
+// local test over the wire: once the drain channel closes no job is
+// sent, the one in flight still lands, and Execute returns ErrDrained
+// at once instead of riding out the minute-long backoff of a worker
+// that is down.
+func TestRemoteExecutorDrainStopsDispatchLetsInFlightFinish(t *testing.T) {
+	drain := make(chan struct{})
+	gate := make(chan struct{})
+	started := make(chan struct{}, 1)
+	reg := NewRegistry()
+	var jobs []Job
+	for i := 0; i < 8; i++ {
+		i := i
+		w := spec(fmt.Sprintf("w%d", i), func(context.Context, Params) (Result, error) {
+			if i == 0 {
+				started <- struct{}{}
+				<-gate
+			}
+			return Result{Text: fmt.Sprintf("ok %d\n", i)}, nil
+		})
+		if err := reg.Register(w); err != nil {
+			t.Fatal(err)
+		}
+		jobs = append(jobs, Job{Workload: w})
+	}
+	addr, _ := startRemoteWorker(t, reg)
+	// The second worker fails its dial only once job 0 is in flight, so
+	// job 0 is the first job sent and the down worker then sits in its
+	// redial backoff.
+	inFlight := make(chan struct{})
+	evicted := &notifyWriter{ch: make(chan struct{})}
+	var d net.Dialer
+	ex := &RemoteExecutor{
+		Addrs:            []string{addr, "down"},
+		Registry:         reg,
+		Window:           1,
+		RedialBackoff:    time.Minute,
+		RedialMaxBackoff: time.Minute,
+		Drain:            drain,
+		Stderr:           evicted,
+		Dial: func(ctx context.Context, a string) (net.Conn, error) {
+			if a != "down" {
+				return d.DialContext(ctx, "tcp", a)
+			}
+			select {
+			case <-inFlight:
+			case <-ctx.Done():
+			}
+			return nil, errors.New("connection refused")
+		},
+	}
+	done := make(chan struct{})
+	var results []Result
+	var err error
+	go func() {
+		defer close(done)
+		results, err = ex.Execute(context.Background(), jobs, nil)
+	}()
+	<-started // job 0 is in flight
+	close(inFlight)
+	<-evicted.ch // the down worker is waiting out its backoff
+	close(drain) // the "signal": stop dispatching
+	close(gate)  // let the in-flight job finish
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("drained sweep never returned")
+	}
+	if !errors.Is(err, ErrDrained) {
+		t.Fatalf("want ErrDrained, got %v", err)
+	}
+	if len(results) == 0 || len(results) == len(jobs) {
+		t.Fatalf("drained sweep returned %d of %d results; want the partial in-flight prefix", len(results), len(jobs))
+	}
+	if results[0].Text != "ok 0\n" {
+		t.Fatalf("in-flight job's result lost: %+v", results[0])
+	}
+}
+
 // memJournal is an in-memory JournalSink (the real file-backed one
 // lives in repro/internal/journal, which imports this package).
 type memJournal struct {

@@ -7,10 +7,11 @@ import (
 
 // Executor runs a batch of sweep jobs and assembles their Results in job
 // order. Several implementations exist: LocalExecutor, the in-process
-// goroutine pool Sweep has always used; ShardExecutor (shard.go), which
-// fans jobs out to child worker processes over the JSONL wire protocol
-// in wire.go; RemoteExecutor (remote.go) over TCP; and the wrapping
-// CachingExecutor (cacheexec.go) and JournalingExecutor (journal.go).
+// goroutine pool Sweep has always used; RemoteExecutor (remote.go),
+// which fans jobs out to worker processes over the JSONL wire protocol
+// in wire.go, reached over TCP or spawned as children (pipe.go); and the
+// wrapping CachingExecutor (cacheexec.go) and JournalingExecutor
+// (journal.go).
 // All promise the same contract, so output is byte-identical whichever
 // executor a sweep runs on.
 type Executor interface {

@@ -1,12 +1,12 @@
 package harness
 
-// RemoteExecutor fans sweep jobs out over TCP to `hpcc worker -listen`
-// processes — the fleet manager for the paper's many-machines-one-
-// program model over commodity networking. It speaks the same JSONL
-// wire as ShardExecutor but pipelines a small window of jobs per
-// connection, so the per-message handshake latency the PC-cluster work
-// identifies as the real cost is paid once per connection, not once per
-// job.
+// RemoteExecutor fans sweep jobs out to worker processes — `hpcc worker
+// -listen` over TCP, or spawned `hpcc worker` children over their
+// stdin/stdout (SpawnDial, the -shards transport) — the fleet manager
+// for the paper's many-machines-one-program model over commodity
+// networking. It pipelines a small window of jobs per connection, so
+// the per-message handshake latency the PC-cluster work identifies as
+// the real cost is paid once per connection, not once per job.
 //
 // Failure model: workers are expendable, jobs are not. Any transport
 // fault — dial failure, refused handshake, torn frame, protocol breach,
@@ -36,6 +36,7 @@ import (
 	"io"
 	"math/rand"
 	"net"
+	"os"
 	"sync"
 	"time"
 )
@@ -52,7 +53,8 @@ const (
 // RemoteExecutor implements Executor across remote worker processes.
 // Addrs is the only required field.
 type RemoteExecutor struct {
-	// Addrs are the worker addresses (host:port) to dial.
+	// Addrs are the worker addresses (host:port) to dial; with a Dial
+	// that spawns its worker they are labels, one per worker.
 	Addrs []string
 	// Registry resolves workload IDs and provides the handshake
 	// identity; nil means the Default registry.
@@ -69,8 +71,9 @@ type RemoteExecutor struct {
 	// HandshakeTimeout bounds dial-to-hello; <= 0 means
 	// DefaultHandshakeTimeout.
 	HandshakeTimeout time.Duration
-	// Dial overrides the transport; nil means plain TCP. Tests inject
-	// fault-laden connections here (see chaos.go).
+	// Dial overrides the transport; nil means plain TCP. SpawnDial runs
+	// each worker as a child process; tests inject fault-laden
+	// connections here (see chaos.go).
 	Dial func(ctx context.Context, addr string) (net.Conn, error)
 	// Token, when non-empty, is the shared fleet auth token sent (in
 	// digest form) in the hello; it must match the workers' -token.
@@ -92,6 +95,11 @@ type RemoteExecutor struct {
 	Sleep func(ctx context.Context, d time.Duration) error
 	// Stderr receives eviction/readmission notes; nil discards them.
 	Stderr io.Writer
+	// Drain, when non-nil, requests a graceful stop when it closes: no
+	// new job is sent, answers to jobs already in flight still land, and
+	// Execute returns the completed prefix with ErrDrained. A nil
+	// channel never drains.
+	Drain <-chan struct{}
 }
 
 func (e *RemoteExecutor) reg() *Registry {
@@ -180,6 +188,9 @@ type remoteSweep struct {
 	redialing      []bool
 	redialingCount int
 
+	drain   <-chan struct{}
+	drained bool // latched once drain is seen closed
+
 	asm         *assembler
 	stderr      io.Writer
 	maxAttempts int
@@ -216,6 +227,7 @@ func (e *RemoteExecutor) Execute(ctx context.Context, jobs []Job, emit func(int,
 		live:        make([]bool, len(e.Addrs)),
 		liveCount:   len(e.Addrs),
 		redialing:   make([]bool, len(e.Addrs)),
+		drain:       e.Drain,
 		asm:         newAssembler(len(jobs), emit),
 		stderr:      e.Stderr,
 		maxAttempts: e.maxAttempts(),
@@ -246,7 +258,13 @@ func (e *RemoteExecutor) Execute(ctx context.Context, jobs []Job, emit func(int,
 	}
 	wg.Wait()
 
-	return s.asm.completed(), sweepErr(ctx, s.errs, nil)
+	var dispatchErr error
+	s.mu.Lock()
+	if s.drained && s.remaining > 0 {
+		dispatchErr = ErrDrained
+	}
+	s.mu.Unlock()
+	return s.asm.completed(), sweepErr(ctx, s.errs, dispatchErr)
 }
 
 // connect dials addr and performs the hello exchange. A worker whose
@@ -303,14 +321,20 @@ const (
 
 // take hands worker w its next job index: the front of its own queue,
 // else stolen from the back of the longest surviving queue. With no
-// queued work anywhere it drains (if w still has responses in flight)
-// or waits until either work appears or the sweep ends. Taking a job
-// charges one send attempt.
+// queued work anywhere — or once the sweep is drained — it drains (if w
+// still has responses in flight) or waits until either work appears or
+// the sweep ends. Taking a job charges one send attempt.
 func (s *remoteSweep) take(w int, outstanding int) (int, takeAction) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for {
 		if s.ctx.Err() != nil || s.remaining == 0 {
+			return 0, takeDone
+		}
+		if s.drainedLocked() {
+			if outstanding > 0 {
+				return 0, takeDrain
+			}
 			return 0, takeDone
 		}
 		if len(s.queues[w]) > 0 {
@@ -342,6 +366,19 @@ func (s *remoteSweep) take(w int, outstanding int) (int, takeAction) {
 		}
 		s.cond.Wait()
 	}
+}
+
+// drainedLocked reports whether the drain channel has closed, latching
+// the answer. Callers hold s.mu.
+func (s *remoteSweep) drainedLocked() bool {
+	if s.drain != nil && !s.drained {
+		select {
+		case <-s.drain:
+			s.drained = true
+		default:
+		}
+	}
+	return s.drained
 }
 
 // fail records a permanent per-job failure (workload error, nil
@@ -427,9 +464,10 @@ func (s *remoteSweep) evict(w int, tracker *responseTracker, cause error, willRe
 	orphans := append(tracker.pending(), s.queues[w]...)
 	s.queues[w] = nil
 	defer s.cond.Broadcast()
-	if s.ctx.Err() != nil {
+	if s.ctx.Err() != nil || s.drainedLocked() {
 		// The sweep is already being torn down; transport errors here are
-		// victims of the cancellation, not root causes.
+		// victims of the cancellation, not root causes. A drained sweep
+		// sends nothing more, so its stranded jobs stay unfinished.
 		return
 	}
 	if s.stderr != nil {
@@ -475,7 +513,7 @@ func (s *remoteSweep) retire(w int, attempts int, cause error) {
 	orphans := s.queues[w]
 	s.queues[w] = nil
 	defer s.cond.Broadcast()
-	if s.ctx.Err() != nil {
+	if s.ctx.Err() != nil || s.drainedLocked() {
 		return
 	}
 	if s.stderr != nil {
@@ -489,9 +527,12 @@ func (s *remoteSweep) retire(w int, attempts int, cause error) {
 // front of the shortest live queue so retried jobs run ahead of fresh
 // ones; with every worker down but some still redialing, parked on the
 // shortest redialing queue for a readmission (or a steal) to pick up.
-// Callers hold s.mu.
+// Orphans are walked back to front so that prepending keeps them in
+// their original order: the job that was in flight first runs first
+// again. Callers hold s.mu.
 func (s *remoteSweep) redistributeLocked(orphans []int, w int, cause error) {
-	for _, i := range orphans {
+	for k := len(orphans) - 1; k >= 0; k-- {
+		i := orphans[k]
 		if s.done[i] {
 			continue
 		}
@@ -589,21 +630,27 @@ func (e *RemoteExecutor) serveAddr(ctx context.Context, s *remoteSweep, w int, t
 
 // redialWait sleeps out one backoff. It returns false when the sweep
 // ended (cancelled, failed, or every job landed — all of which cancel
-// the sweep context) while waiting, which tells the redial loop to stop.
+// the sweep context) or drained while waiting, which tells the redial
+// loop to stop.
 func (e *RemoteExecutor) redialWait(ctx context.Context, d time.Duration) bool {
 	if fn := e.Sleep; fn != nil {
 		if err := fn(ctx, d); err != nil {
 			return false
 		}
-		return ctx.Err() == nil
+	} else {
+		t := time.NewTimer(d)
+		defer t.Stop()
+		select {
+		case <-t.C:
+		case <-ctx.Done():
+		case <-e.Drain:
+		}
 	}
-	t := time.NewTimer(d)
-	defer t.Stop()
 	select {
-	case <-t.C:
-		return true
-	case <-ctx.Done():
+	case <-e.Drain:
 		return false
+	default:
+		return ctx.Err() == nil
 	}
 }
 
@@ -663,7 +710,7 @@ func (e *RemoteExecutor) runSession(ctx context.Context, s *remoteSweep, w int, 
 		conn.SetReadDeadline(time.Now().Add(hbTimeout)) //lint:ignore hpccdet socket deadlines are wall-clock I/O plumbing, not simulated time
 		line, err := fr.next()
 		if err != nil {
-			if ne, ok := err.(net.Error); ok && ne.Timeout() {
+			if errors.Is(err, os.ErrDeadlineExceeded) {
 				err = fmt.Errorf("no heartbeat within %v", hbTimeout)
 			}
 			return fmt.Errorf("awaiting %v: %w", tracker.pending(), err)

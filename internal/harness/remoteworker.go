@@ -1,8 +1,9 @@
 package harness
 
-// The server side of the remote fleet: a TCP listener speaking the JSONL
-// wire protocol of wire.go, with a connect-time handshake and periodic
-// heartbeats. This is what `hpcc worker -listen addr` runs — the paper's
+// The server side of the remote fleet: the JSONL wire protocol of
+// wire.go, with a connect-time handshake and periodic heartbeats, served
+// on a TCP listener (`hpcc worker -listen addr`) or on a spawned child's
+// stdin/stdout (`hpcc worker`, the -shards transport) — the paper's
 // farm-of-cheap-workers model cashed out over commodity networking, per
 // the cluster-computing successor architecture: any machine that can
 // reach the address can farm jobs to it, provided its binary carries the
@@ -32,7 +33,7 @@ const (
 	DefaultHandshakeTimeout = 10 * time.Second
 )
 
-// RemoteWorkerServer serves sweep jobs over TCP connections. Each
+// RemoteWorkerServer serves sweep jobs over connections. Each
 // connection is handshaken (registry fingerprint + kernel versions; a
 // mismatched executor is refused), then jobs stream in as WireJob
 // frames and answers stream out as WireResponse frames in completion
@@ -102,7 +103,7 @@ func (s *RemoteWorkerServer) Serve(ctx context.Context, ln net.Listener) error {
 
 	// Teardown order matters: cancelling first starts the drain clock
 	// (and, with no grace, closes the open connections via each
-	// serveConn's AfterFunc), so the wait can actually finish; stopDrain
+	// ServeConn's AfterFunc), so the wait can actually finish; stopDrain
 	// runs only after the wait, or it would kill the drain it grants.
 	var wg sync.WaitGroup
 	defer stopDrain()
@@ -119,24 +120,29 @@ func (s *RemoteWorkerServer) Serve(ctx context.Context, ln net.Listener) error {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if err := s.serveConn(connCtx, conn); err != nil && ctx.Err() == nil && s.Stderr != nil {
+			if err := s.ServeConn(connCtx, conn); err != nil && ctx.Err() == nil && s.Stderr != nil {
 				fmt.Fprintf(s.Stderr, "hpcc worker: connection %s: %v\n", conn.RemoteAddr(), err)
 			}
 		}()
 	}
 }
 
-// serveConn owns one executor connection: handshake, then a read loop
+// ServeConn serves one executor connection: handshake, then a read loop
 // dispatching each job to its own goroutine while a heartbeat ticker
 // shares the write side. The connection's jobs are cancelled as soon as
-// the connection dies — an executor that vanished is not waited for.
-func (s *RemoteWorkerServer) serveConn(ctx context.Context, conn net.Conn) error {
+// the connection dies — an executor that vanished is not waited for —
+// and a malformed job frame is a protocol breach that ends it. Serve
+// runs it per accepted TCP connection; a spawned `hpcc worker` runs it
+// once on StdioConn.
+func (s *RemoteWorkerServer) ServeConn(ctx context.Context, conn net.Conn) error {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	stop := context.AfterFunc(ctx, func() { conn.Close() })
 	defer stop()
 
 	fr := newFrameReader(conn)
+	// A spawned worker's stdin takes no deadline; the error is ignored
+	// and the parent's own handshake deadline bounds the exchange.
 	conn.SetReadDeadline(time.Now().Add(s.handshakeTimeout())) //lint:ignore hpccdet socket deadlines are wall-clock I/O plumbing, not simulated time
 	line, err := fr.next()
 	if err != nil {
@@ -217,4 +223,17 @@ func (s *RemoteWorkerServer) serveConn(ctx context.Context, conn net.Conn) error
 			}
 		}(job)
 	}
+}
+
+// lockedWriter serializes Write calls from a connection's heartbeat
+// ticker and job goroutines onto one destination.
+type lockedWriter struct {
+	mu sync.Mutex
+	w  io.Writer
+}
+
+func (l *lockedWriter) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.w.Write(p)
 }

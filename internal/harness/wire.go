@@ -1,21 +1,17 @@
 package harness
 
-// The JSONL wire protocol between a sweep engine and its workers. A
-// parent writes one WireJob per line; the worker answers each with one
-// WireResult line. Two transports speak it:
-//
-//   - ShardExecutor (shard.go) over a child process's stdin/stdout,
-//     strictly request/response per worker: one job at a time, so the
-//     parent always knows which job index an answer — or a crash —
-//     belongs to.
-//   - RemoteExecutor (remote.go) over TCP to `hpcc worker -listen`
-//     processes. The connection opens with a WireHello handshake (both
-//     sides exchange registry fingerprints and kernel versions; a
-//     mismatched worker is refused), responses travel as WireResponse
-//     frames (a WireResult or a heartbeat) in completion order, and a
-//     responseTracker holds every answer to the outstanding-request set
-//     so duplicated, out-of-range or unsolicited indexes are protocol
-//     breaches rather than silent corruption.
+// The JSONL wire protocol between RemoteExecutor (remote.go) and its
+// workers (RemoteWorkerServer.ServeConn in remoteworker.go), one JSON
+// frame per line. It runs over TCP to `hpcc worker -listen` processes
+// and over the stdin/stdout of spawned `hpcc worker` children (pipe.go,
+// the -shards transport). Both sides open with a WireHello: registry
+// fingerprints and kernel versions are exchanged and a mismatched peer
+// is refused. The executor then pipelines a window of WireJob frames;
+// the worker answers with WireResponse frames (a WireResult or a
+// heartbeat) in completion order, and a responseTracker holds every
+// answer to the outstanding-request set so duplicated, out-of-range or
+// unsolicited indexes are protocol breaches rather than silent
+// corruption.
 //
 // Workloads travel by registry ID, so both sides must be built with the
 // same workloads registered — that is exactly what the handshake checks.
@@ -35,8 +31,8 @@ import (
 	"strings"
 )
 
-// WireJob is one serialized sweep job: the line a sharding parent writes
-// to a worker's stdin.
+// WireJob is one serialized sweep job: the frame an executor sends a
+// worker.
 type WireJob struct {
 	// Index is the job's position in the parent's sweep, echoed back in
 	// the WireResult so results reassemble in job order.
@@ -47,9 +43,9 @@ type WireJob struct {
 	Params Params `json:"params"`
 }
 
-// WireResult is one worker answer: the line a worker writes to stdout
-// after running (or failing to run) a job. Exactly one of Result and
-// Error is set.
+// WireResult is one worker answer: the frame a worker sends after
+// running (or failing to run) a job. Exactly one of Result and Error is
+// set.
 type WireResult struct {
 	Index  int     `json:"index"`
 	Result *Result `json:"result,omitempty"`
@@ -79,13 +75,13 @@ func EncodeWire(w io.Writer, v any) error {
 func DecodeWireJob(line []byte) (WireJob, error) {
 	var j WireJob
 	if err := json.Unmarshal(line, &j); err != nil {
-		return WireJob{}, fmt.Errorf("harness: decode wire job: %w", err)
+		return WireJob{}, fmt.Errorf("%w: decode wire job: %w", ErrBadFrame, err)
 	}
 	if j.Index < 0 {
-		return WireJob{}, fmt.Errorf("harness: wire job has negative index %d", j.Index)
+		return WireJob{}, fmt.Errorf("%w: wire job has negative index %d", ErrBadFrame, j.Index)
 	}
 	if j.WorkloadID == "" {
-		return WireJob{}, fmt.Errorf("harness: wire job %d has no workload_id", j.Index)
+		return WireJob{}, fmt.Errorf("%w: wire job %d has no workload_id", ErrBadFrame, j.Index)
 	}
 	return j, nil
 }
@@ -94,13 +90,13 @@ func DecodeWireJob(line []byte) (WireJob, error) {
 func DecodeWireResult(line []byte) (WireResult, error) {
 	var r WireResult
 	if err := json.Unmarshal(line, &r); err != nil {
-		return WireResult{}, fmt.Errorf("harness: decode wire result: %w", err)
+		return WireResult{}, fmt.Errorf("%w: decode wire result: %w", ErrBadFrame, err)
 	}
 	if r.Index < 0 {
-		return WireResult{}, fmt.Errorf("harness: wire result has negative index %d", r.Index)
+		return WireResult{}, fmt.Errorf("%w: wire result has negative index %d", ErrBadFrame, r.Index)
 	}
 	if (r.Result == nil) == (r.Error == "") {
-		return WireResult{}, fmt.Errorf("harness: wire result %d must carry exactly one of result and error", r.Index)
+		return WireResult{}, fmt.Errorf("%w: wire result %d must carry exactly one of result and error", ErrBadFrame, r.Index)
 	}
 	return r, nil
 }
@@ -117,6 +113,13 @@ const maxWireFrame = 1 << 26
 // the fragment happens not to parse); the frame reader makes the tear
 // explicit so transports can map it onto the in-flight job.
 var ErrTruncatedFrame = errors.New("harness: truncated wire frame")
+
+// ErrBadFrame marks a frame that breaks the protocol: not valid JSON of
+// the expected shape, a missing or out-of-range field, a frame past the
+// size cap, or an answer to a job no request was waiting for. Every
+// decoder and responseTracker failure wraps it, so a peer's breach is
+// told apart from an I/O failure with one errors.Is.
+var ErrBadFrame = errors.New("harness: bad wire frame")
 
 // frameReader reads newline-delimited wire frames. It is the one
 // decoder both executors and workers read the protocol through:
@@ -138,7 +141,7 @@ func (fr *frameReader) next() ([]byte, error) {
 		chunk, err := fr.br.ReadSlice('\n')
 		buf = append(buf, chunk...)
 		if len(buf) > maxWireFrame {
-			return nil, fmt.Errorf("harness: wire frame exceeds %d bytes", maxWireFrame)
+			return nil, fmt.Errorf("%w: frame exceeds %d bytes", ErrBadFrame, maxWireFrame)
 		}
 		switch {
 		case err == nil:
@@ -156,8 +159,7 @@ func (fr *frameReader) next() ([]byte, error) {
 			}
 			return nil, fmt.Errorf("%w (stream ended %d bytes into an unterminated line)", ErrTruncatedFrame, len(buf))
 		default:
-			//lint:ignore hpccwire the heartbeat loop type-asserts net.Error on this error to tell a read deadline from a dead peer; wrapping would hide it
-			return nil, err
+			return nil, fmt.Errorf("harness: read wire frame: %w", err)
 		}
 	}
 }
@@ -186,35 +188,6 @@ func runWireJob(ctx context.Context, reg *Registry, job WireJob) WireResult {
 	}
 	out.Result = &res
 	return out
-}
-
-// ServeWorker runs the worker side of the shard protocol: it reads
-// WireJob lines from r until EOF, resolves each workload in reg, runs
-// it, and answers with a WireResult line on w. A malformed or truncated
-// job line is a protocol breach and kills the worker with an error; the
-// parent maps the death onto the in-flight job. This is what
-// `hpcc worker` (without -listen) runs.
-func ServeWorker(ctx context.Context, reg *Registry, r io.Reader, w io.Writer) error {
-	fr := newFrameReader(r)
-	for {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		line, err := fr.next()
-		if errors.Is(err, io.EOF) {
-			return nil
-		}
-		if err != nil {
-			return fmt.Errorf("harness: worker read jobs: %w", err)
-		}
-		job, err := DecodeWireJob(line)
-		if err != nil {
-			return err
-		}
-		if err := EncodeWire(w, runWireJob(ctx, reg, job)); err != nil {
-			return err
-		}
-	}
 }
 
 // WireProto identifies the handshake revision RemoteExecutor and the
@@ -278,13 +251,13 @@ func HelloFor(reg *Registry, role string) WireHello {
 func DecodeWireHello(line []byte) (WireHello, error) {
 	var h WireHello
 	if err := json.Unmarshal(line, &h); err != nil {
-		return WireHello{}, fmt.Errorf("harness: decode wire hello: %w", err)
+		return WireHello{}, fmt.Errorf("%w: decode wire hello: %w", ErrBadFrame, err)
 	}
 	if h.Proto < 1 {
-		return WireHello{}, fmt.Errorf("harness: wire hello has no protocol revision (got %d)", h.Proto)
+		return WireHello{}, fmt.Errorf("%w: wire hello has no protocol revision (got %d)", ErrBadFrame, h.Proto)
 	}
 	if h.Fingerprint == "" {
-		return WireHello{}, errors.New("harness: wire hello has no registry fingerprint")
+		return WireHello{}, fmt.Errorf("%w: wire hello has no registry fingerprint", ErrBadFrame)
 	}
 	return h, nil
 }
@@ -359,8 +332,8 @@ func helloDiffs(local, remote map[string]string) []string {
 
 // WireResponse is one frame of a remote worker's response stream:
 // either a heartbeat (proof of life while long jobs run) or a
-// WireResult. The result fields embed flat, so a non-heartbeat frame is
-// byte-compatible with the stdin/stdout worker's WireResult lines.
+// WireResult. The result fields embed flat, so a non-heartbeat frame
+// validates through DecodeWireResult as is.
 type WireResponse struct {
 	Heartbeat bool `json:"heartbeat,omitempty"`
 	WireResult
@@ -371,7 +344,7 @@ type WireResponse struct {
 func DecodeWireResponse(line []byte) (WireResponse, error) {
 	var r WireResponse
 	if err := json.Unmarshal(line, &r); err != nil {
-		return WireResponse{}, fmt.Errorf("harness: decode wire response: %w", err)
+		return WireResponse{}, fmt.Errorf("%w: decode wire response: %w", ErrBadFrame, err)
 	}
 	if r.Heartbeat {
 		return WireResponse{Heartbeat: true}, nil
@@ -406,13 +379,13 @@ func (t *responseTracker) sent(i int) {
 // answer validates a response index and retires it.
 func (t *responseTracker) answer(i int) error {
 	if i < 0 || i >= t.n {
-		return fmt.Errorf("harness: wire result index %d out of range [0,%d)", i, t.n)
+		return fmt.Errorf("%w: wire result index %d out of range [0,%d)", ErrBadFrame, i, t.n)
 	}
 	if !t.outstanding[i] {
 		if t.answered[i] {
-			return fmt.Errorf("harness: duplicate wire result for job %d", i)
+			return fmt.Errorf("%w: duplicate wire result for job %d", ErrBadFrame, i)
 		}
-		return fmt.Errorf("harness: unsolicited wire result for job %d (never dispatched on this connection)", i)
+		return fmt.Errorf("%w: unsolicited wire result for job %d (never dispatched on this connection)", ErrBadFrame, i)
 	}
 	delete(t.outstanding, i)
 	t.answered[i] = true

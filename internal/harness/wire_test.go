@@ -2,7 +2,6 @@ package harness
 
 import (
 	"bytes"
-	"context"
 	"errors"
 	"io"
 	"strings"
@@ -76,87 +75,6 @@ func TestWireDecodeRejectsInvalid(t *testing.T) {
 		if _, err := DecodeWireResult([]byte(tc.line)); err == nil {
 			t.Errorf("%s: accepted", tc.name)
 		}
-	}
-}
-
-func TestServeWorkerRunsJobs(t *testing.T) {
-	reg := NewRegistry()
-	if err := reg.Register(echo("w/echo")); err != nil {
-		t.Fatal(err)
-	}
-	if err := reg.Register(spec("w/fail", func(context.Context, Params) (Result, error) {
-		return Result{}, errors.New("kernel diverged")
-	})); err != nil {
-		t.Fatal(err)
-	}
-
-	var in, out bytes.Buffer
-	for i, j := range []WireJob{
-		{Index: 0, WorkloadID: "w/echo", Params: Params{}.WithValue("n", "7")},
-		{Index: 1, WorkloadID: "w/fail"},
-		{Index: 2, WorkloadID: "w/missing"},
-	} {
-		if err := EncodeWire(&in, j); err != nil {
-			t.Fatalf("job %d: %v", i, err)
-		}
-	}
-	if err := ServeWorker(context.Background(), reg, &in, &out); err != nil {
-		t.Fatal(err)
-	}
-
-	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("want 3 result lines, got %d:\n%s", len(lines), out.String())
-	}
-	r0, err := DecodeWireResult([]byte(lines[0]))
-	if err != nil || r0.Index != 0 || r0.Result == nil || !strings.Contains(r0.Result.Text, "n=7") {
-		t.Fatalf("result 0 wrong: %+v, %v", r0, err)
-	}
-	r1, err := DecodeWireResult([]byte(lines[1]))
-	if err != nil || r1.Index != 1 || !strings.Contains(r1.Error, "kernel diverged") {
-		t.Fatalf("result 1 wrong: %+v, %v", r1, err)
-	}
-	r2, err := DecodeWireResult([]byte(lines[2]))
-	if err != nil || r2.Index != 2 || !strings.Contains(r2.Error, "unknown workload") {
-		t.Fatalf("result 2 wrong: %+v, %v", r2, err)
-	}
-}
-
-func TestServeWorkerDiesOnProtocolBreach(t *testing.T) {
-	reg := NewRegistry()
-	if err := reg.Register(echo("w/echo")); err != nil {
-		t.Fatal(err)
-	}
-	in := strings.NewReader("this is not a wire job\n")
-	var out bytes.Buffer
-	if err := ServeWorker(context.Background(), reg, in, &out); err == nil {
-		t.Fatal("malformed job line accepted")
-	}
-	if out.Len() != 0 {
-		t.Fatalf("worker answered a malformed job: %q", out.String())
-	}
-}
-
-func TestServeWorkerStampsWorkloadID(t *testing.T) {
-	reg := NewRegistry()
-	if err := reg.Register(spec("w/anon", func(context.Context, Params) (Result, error) {
-		return Result{Text: "ok\n"}, nil // no WorkloadID set by the workload
-	})); err != nil {
-		t.Fatal(err)
-	}
-	var in, out bytes.Buffer
-	if err := EncodeWire(&in, WireJob{Index: 0, WorkloadID: "w/anon"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := ServeWorker(context.Background(), reg, &in, &out); err != nil {
-		t.Fatal(err)
-	}
-	r, err := DecodeWireResult(bytes.TrimSpace(out.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Result == nil || r.Result.WorkloadID != "w/anon" {
-		t.Fatalf("worker did not stamp the workload ID: %+v", r)
 	}
 }
 
