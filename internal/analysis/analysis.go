@@ -5,7 +5,7 @@
 //
 //   - hpccdet:     determinism — no wall clocks, no global rand, no
 //     map-iteration order leaking into results (determinism.go)
-//   - hpcclock:    lock ordering — never two engine locks held at once,
+//   - hpcclock:    lock ordering — never two locks of one kind held at once,
 //     no mixed atomic/non-atomic field access (lockorder.go)
 //   - hpccversion: kernel versions are compile-time constants, so the
 //     CI diff script can enforce version bumps (versionbump.go)

@@ -12,9 +12,9 @@ package analysis
 //     the very same mutex);
 //   - while such a lock is held, a call to a same-package function that
 //     may itself (transitively) lock a mutex of that type;
-//   - helper functions that unlock a parameter's mutex (nx's drainWake)
-//     are summarized, so the unlock-via-helper idiom is tracked rather
-//     than flagged.
+//   - helper functions that unconditionally unlock a parameter's mutex
+//     (the defer-an-unlocker shape) are summarized, so the
+//     unlock-via-helper idiom is tracked rather than flagged.
 //
 // It also enforces the sync/atomic half of the contract: a struct field
 // accessed through sync/atomic functions anywhere in the package must
@@ -56,7 +56,7 @@ type funcSummary struct {
 	// lock, directly or via same-package calls (computed to fixpoint).
 	mayLock map[*types.TypeName]bool
 	// unlocks maps parameter index → mutex field name the function
-	// unconditionally unlocks on that parameter (the drainWake shape).
+	// unconditionally unlocks on that parameter (the unlocker-helper shape).
 	unlocks map[int]string
 	decl    *ast.FuncDecl
 }
@@ -220,7 +220,7 @@ func checkLocks(pass *Pass, body *ast.BlockStmt, sums map[*types.Func]*funcSumma
 		case *ast.FuncLit:
 			return false
 		case *ast.DeferStmt:
-			// defer x.mu.Unlock() / defer drainWake(es): the lock stays
+			// defer x.mu.Unlock() / defer unlockHelper(x): the lock stays
 			// held for the rest of the body; nothing to track beyond
 			// not treating it as an immediate unlock.
 			return false

@@ -33,7 +33,7 @@ func BenchmarkPingPong(b *testing.B) {
 }
 
 // BenchmarkBarrier528 measures a full-machine barrier on the Delta model:
-// the per-operation host cost of coordinating 528 goroutine nodes.
+// the per-operation host cost of parking and resuming 528 coroutine nodes.
 func BenchmarkBarrier528(b *testing.B) {
 	res, err := Run(Config{Model: machine.Delta()}, func(p *Proc) {
 		g := p.World()

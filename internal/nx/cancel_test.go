@@ -29,9 +29,10 @@ func TestCtxAlreadyCancelled(t *testing.T) {
 	}
 }
 
-// TestCtxCancelUnblocksReceive: cancelling mid-run unblocks a process
-// parked in a receive promptly — well before the deadlock watchdog
-// window — and surfaces the context error, not a deadlock.
+// TestCtxCancelUnblocksReceive: cancelling mid-run tears down a process
+// parked in a receive that is never sent while its siblings keep the run
+// live — ranks 1 and 2 ping-pong far longer than the test waits — and
+// surfaces the context error, not a deadlock.
 func TestCtxCancelUnblocksReceive(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
@@ -39,13 +40,21 @@ func TestCtxCancelUnblocksReceive(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	_, err := Run(Config{
-		Model:         machine.SubMesh(machine.Delta(), 2, 2),
-		Ctx:           ctx,
-		DeadlockAfter: time.Hour, // the watchdog must not be what saves us
-	}, func(p *Proc) {
-		if p.Rank() == 0 {
-			p.Recv(1, 5) // never sent: blocks until teardown
+	_, err := Run(Config{Model: machine.SubMesh(machine.Delta(), 2, 2), Ctx: ctx}, func(p *Proc) {
+		switch p.Rank() {
+		case 0:
+			p.Recv(1, 5) // never sent: parked until teardown
+		case 1, 2:
+			peer := 3 - p.Rank()
+			for i := 0; i < 1_000_000_000; i++ {
+				if p.Rank() == 1 {
+					p.SendPhantom(peer, 0, 8)
+					p.Recv(peer, 0)
+				} else {
+					p.Recv(peer, 0)
+					p.SendPhantom(peer, 0, 8)
+				}
+			}
 		}
 	})
 	if !errors.Is(err, context.Canceled) {
@@ -65,11 +74,7 @@ func TestCtxCancelStopsCollectiveLoop(t *testing.T) {
 		cancel()
 	}()
 	completed := make([]int, 16)
-	_, err := Run(Config{
-		Model:         machine.SubMesh(machine.Delta(), 4, 4),
-		Ctx:           ctx,
-		DeadlockAfter: time.Hour,
-	}, func(p *Proc) {
+	_, err := Run(Config{Model: machine.SubMesh(machine.Delta(), 4, 4), Ctx: ctx}, func(p *Proc) {
 		g := p.World()
 		for i := 0; i < 1_000_000; i++ {
 			g.ReducePhantom(0, 16)

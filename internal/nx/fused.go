@@ -5,7 +5,7 @@ package nx
 // The tree collectives in group.go move O(k) real messages through k
 // mailboxes per operation; at Delta scale (phantom LINPACK: three
 // column-group collectives per matrix column, 25 000 columns) every tree
-// edge is a mailbox put/get with a potential goroutine park/unpark, and
+// edge is a mailbox put/get with a potential coroutine park/resume, and
 // the host cost of a run is dominated by that per-message software
 // overhead — not by the arithmetic of the virtual-time model.
 //
@@ -33,13 +33,16 @@ package nx
 //     message, Now, a data-carrying collective, Barrier) or after
 //     pendLimit outstanding releases (adaptive in the process count; see
 //     adaptivePendLimit). Rendezvous resolve in dependency order
-//     through the completion cascade (fusedCascade), so host-side parks
-//     collapse from one per collective edge to roughly one per chain.
-//   - Pooled, wake-through-channel plumbing. Rendezvous, their scratch
-//     and their release arrays are recycled per group, so steady-state
-//     phantom collectives allocate nothing; parked settlers are woken
-//     through per-process channels after the engine lock drops, so a
-//     completion waking many members cannot convoy on the lock.
+//     through the completion cascade (fusedCascade), so parks collapse
+//     from one per collective edge to roughly one per chain.
+//   - Pooled rendezvous. Rendezvous, their scratch and their release
+//     arrays are recycled per group, so steady-state phantom collectives
+//     allocate nothing.
+//
+// The engine runs inside whichever process posts, on the scheduler's
+// single thread (see runtime.schedule), so its state needs no lock: a
+// settler whose release is outstanding parks, and the cascade that
+// completes the rendezvous wakes it.
 //
 // One semantic difference from the tree path: a fused collective is a
 // full-group rendezvous in host time — no member's release exists until
@@ -47,7 +50,7 @@ package nx
 // after only its ancestor chain has sent. Programs that schedule a
 // point-to-point dependency against collective order (one member must
 // complete the collective to unblock another member's *entry* into it)
-// deadlock here and are caught by the watchdog; see the collective-modes
+// deadlock here, and Run reports the deadlock; see the collective-modes
 // section of docs/WORKLOADS.md.
 //
 // The second-generation collectives (ring allreduce, scatter, scan) stay
@@ -247,14 +250,6 @@ type traceSpan struct {
 // collective number baseSeq+i. Completed-and-settled rendezvous are
 // recycled through free, so steady-state collectives allocate nothing.
 //
-// All slot and rendezvous state is guarded by the runtime's engine
-// mutex (runtime.mu). The engine's critical sections are tens of
-// nanoseconds, so one lock acquisition per posting beats fine-grained
-// per-slot locks — with per-slot locks every symbolic entry pays a second
-// acquisition to register with its dependency and a third to resolve,
-// which profiling shows costs more than the serialization a run-wide
-// lock introduces.
-//
 // Sequencing is sound because a member's posts on a slot are numbered by
 // the slot's per-member count and program order ties those numbers
 // together: member entries with the same number always belong to the same
@@ -274,24 +269,19 @@ type groupSlot struct {
 
 // rendezvous collects the entries of one collective and, once complete,
 // the per-member releases. The slices and the engine's scratch are pooled
-// across the collectives of a slot. All fields are guarded by the engine
-// mutex (runtime.mu).
+// across the collectives of a slot.
 type rendezvous struct {
 	slot       *groupSlot
 	entries    []fusedEntry
 	present    []bool // per-member entry filed; entries themselves stay dirty between uses
 	arrived    int
-	unresolved int // entries still symbolic (their prev not done)
-	// done and settled are atomic so the settle fast path (tail already
-	// complete) runs without the engine lock: done is written under the
-	// lock but read lock-free, and rels are immutable once done is
-	// observed.
-	done    atomic.Bool
-	retired bool // fully settled; awaiting head-order recycling (under the lock)
-	settled atomic.Int32
-	rels    []fusedRelease
-	deps    []fusedDep // entries elsewhere waiting on this completion
-	waiters []*Proc    // settlers parked for this completion (under the lock)
+	unresolved int  // entries still symbolic (their prev not done)
+	done       bool // replayed: rels are final
+	settled    int  // members that have applied their release
+	retired    bool // fully settled; awaiting head-order recycling
+	rels       []fusedRelease
+	deps       []fusedDep // entries elsewhere waiting on this completion
+	waiters    []*Proc    // settlers parked for this completion
 
 	// Engine scratch, sized to the group on first use.
 	arr  []float64   // per-member arrival times
@@ -337,8 +327,6 @@ func adaptivePendLimit(n int) int {
 // creation (exchange callers replay from it; every caller passes an
 // identical list for a given key).
 func (rt *runtime) slot(key string, members []int) *groupSlot {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
 	if rt.slots == nil {
 		rt.slots = make(map[string]*groupSlot)
 	}
@@ -348,18 +336,6 @@ func (rt *runtime) slot(key string, members []int) *groupSlot {
 		rt.slots[key] = s
 	}
 	return s
-}
-
-// abortSlots wakes every fused-collective waiter with a teardown signal
-// and poisons future waits; the counterpart of mailbox.abort.
-func (rt *runtime) abortSlots() {
-	rt.slotsAborted.Store(true)
-	for _, p := range rt.procs {
-		select {
-		case p.wakeCh <- struct{}{}:
-		default:
-		}
-	}
 }
 
 // membersKey packs the member list into a string key (4 bytes LE per
@@ -438,13 +414,7 @@ func fusedRendezvous(p *Proc, s *groupSlot, me int, lazy bool, e *fusedEntry) pa
 // registers the entry's symbolic dependency, and runs the completion
 // cascade when this event makes a rendezvous computable.
 func fusedPost(p *Proc, s *groupSlot, me int, e *fusedEntry) *rendezvous {
-	rt := p.rt
 	k := len(s.members)
-	rt.mu.Lock()
-	// The deferred drain doubles as the waker: completions collected by
-	// a cascade are signalled after the lock drops (and even if the
-	// replay panics, so teardown does not deadlock on the engine lock).
-	defer drainWake(rt)
 	idx := s.counts[me] - s.baseSeq
 	s.counts[me]++
 	for idx >= len(s.ring) {
@@ -453,13 +423,13 @@ func fusedPost(p *Proc, s *groupSlot, me int, e *fusedEntry) *rendezvous {
 	r := s.ring[idx]
 	if len(r.entries) != k || r.present[me] {
 		panic(fmt.Sprintf("nx: rank %d: overlapping fused collectives on one member list "+
-			"(distinct same-member groups used concurrently?)", p.rank)) // defer unlocks
+			"(distinct same-member groups used concurrently?)", p.rank))
 	}
 	r.entries[me] = *e
 	r.present[me] = true
 	r.arrived++
 	if e.prev != nil {
-		if e.prev.done.Load() {
+		if e.prev.done {
 			resolveEntry(r, me)
 		} else {
 			r.unresolved++
@@ -472,25 +442,9 @@ func fusedPost(p *Proc, s *groupSlot, me int, e *fusedEntry) *rendezvous {
 	return r
 }
 
-// drainWake unlocks rt.mu after moving the pending wake list aside, then
-// signals the wakeups outside the lock, so a completion waking many
-// members cannot convoy on the engine lock.
-func drainWake(rt *runtime) {
-	toWake := rt.wake
-	rt.wake = nil
-	rt.mu.Unlock()
-	for _, wp := range toWake {
-		select {
-		case wp.wakeCh <- struct{}{}:
-		default:
-		}
-	}
-}
-
 // takeFree returns a recycled (or fresh) rendezvous sized for k members.
 // Entries are left dirty — every member overwrites its own before the
-// rendezvous can compute — only the presence bits are cleared. Caller
-// holds the engine lock.
+// rendezvous can compute — only the presence bits are cleared.
 func (s *groupSlot) takeFree(k int) *rendezvous {
 	var r *rendezvous
 	if n := len(s.free); n > 0 {
@@ -511,10 +465,8 @@ func (s *groupSlot) takeFree(k int) *rendezvous {
 	for i := range r.present {
 		r.present[i] = false
 	}
-	r.arrived, r.unresolved = 0, 0
-	r.settled.Store(0)
-	r.done.Store(false)
-	r.retired = false
+	r.arrived, r.unresolved, r.settled = 0, 0, 0
+	r.done, r.retired = false, false
 	r.deps = r.deps[:0]
 	r.waiters = r.waiters[:0]
 	return r
@@ -522,7 +474,7 @@ func (s *groupSlot) takeFree(k int) *rendezvous {
 
 // resolveEntry makes a symbolic entry concrete from its (completed)
 // dependency: the exact advance sequence the member recorded, replayed on
-// the release clock. Caller holds the engine lock.
+// the release clock.
 func resolveEntry(r *rendezvous, i int) {
 	e := &r.entries[i]
 	base := &e.prev.rels[e.prevIdx]
@@ -538,9 +490,8 @@ func resolveEntry(r *rendezvous, i int) {
 
 // fusedCascade replays a computable rendezvous and cascades: completing
 // one rendezvous resolves symbolic entries registered on it, which can
-// make further rendezvous computable. The worklist keeps the cascade
-// iterative; the whole cascade runs under the engine lock (the replays
-// are pure arithmetic on state the lock already guards).
+// make further rendezvous computable, and wakes the members parked on each
+// completion. The worklist keeps the cascade iterative.
 func fusedCascade(p *Proc, r *rendezvous) {
 	rt := p.rt
 	work := rt.cascade[:0]
@@ -549,11 +500,11 @@ func fusedCascade(p *Proc, r *rendezvous) {
 		r := work[len(work)-1]
 		work = work[:len(work)-1]
 		fusedCompute(p, r)
-		r.done.Store(true)
-		if len(r.waiters) > 0 {
-			rt.wake = append(rt.wake, r.waiters...)
-			r.waiters = r.waiters[:0]
+		r.done = true
+		for _, w := range r.waiters {
+			rt.wake(w)
 		}
+		r.waiters = r.waiters[:0]
 		for _, d := range r.deps {
 			resolveEntry(d.r, d.idx)
 			d.r.unresolved--
@@ -576,38 +527,16 @@ func (p *Proc) settle() payload {
 	if len(p.pend) == 0 {
 		return payload{}
 	}
-	rt := p.rt
 	tail := p.pend[len(p.pend)-1]
-	if !tail.r.done.Load() {
-		// Register for the completion wakeup, then park on the private
-		// channel — woken settlers never touch the engine lock, so a
-		// completion waking many members cannot convoy on it. A stale
-		// token from an earlier wakeup just spins the loop once.
-		rt.mu.Lock()
-		registered := !tail.r.done.Load()
-		if registered {
-			tail.r.waiters = append(tail.r.waiters, p)
-		}
-		rt.mu.Unlock()
-		if registered {
-			// The blocked flag keeps the deadlock watchdog honest: a
-			// member parked here counts as blocked exactly like one
-			// parked in a receive (see runtime.counters and waiters).
-			p.mbox.blocked.Store(blockedFused)
-			for !tail.r.done.Load() && !rt.slotsAborted.Load() {
-				<-p.wakeCh
-			}
-			p.mbox.blocked.Store(0)
-			if !tail.r.done.Load() {
-				panic(deadlockSignal{})
-			}
-		}
+	if !tail.r.done {
+		// The completion cascade wakes every member registered here.
+		tail.r.waiters = append(tail.r.waiters, p)
+		p.park(blockedFused)
 	}
 
-	// Fold the releases into this member's stats, without the engine
-	// lock: everything up to the tail is done (each member's chain
-	// resolves in order), rels are immutable once done, and nothing can
-	// be recycled before this member's settled marks below.
+	// Fold the releases into this member's stats: everything up to the
+	// tail is done (each member's chain resolves in order), and nothing
+	// can be recycled before this member's settled marks below.
 	var bytes, msgs int64
 	for _, pr := range p.pend {
 		rel := &pr.r.rels[pr.idx]
@@ -621,21 +550,13 @@ func (p *Proc) settle() payload {
 	out := last.pl
 	clock, recvWait := last.clock, last.recvWait
 
-	// Retire the chain. Only a rendezvous' final settler takes the engine
-	// lock; recycling is head-driven per slot, so it is indifferent to
-	// which final mark reaches the lock first.
-	locked := false
+	// Retire the chain. A rendezvous is retired by its final settler;
+	// recycling is head-driven per slot, so it is indifferent to which
+	// member settles last.
 	for _, pr := range p.pend {
-		// Read the member count before the settled mark: the mark
-		// releases this member's claim on the rendezvous, after which a
-		// final settler elsewhere may recycle it.
-		k := int32(len(pr.r.entries))
-		if pr.r.settled.Add(1) != k {
+		pr.r.settled++
+		if pr.r.settled != len(pr.r.entries) {
 			continue
-		}
-		if !locked {
-			rt.mu.Lock()
-			locked = true
 		}
 		pr.r.retired = true
 		s := pr.r.slot
@@ -646,20 +567,11 @@ func (p *Proc) settle() payload {
 			s.free = append(s.free, head)
 		}
 	}
-	if locked {
-		rt.mu.Unlock()
-	}
 
 	p.clock.MergeAtLeast(clock)
 	p.stats.RecvWait = recvWait
 	p.stats.BytesSent += bytes
 	p.stats.MsgsSent += msgs
-	if msgs > 0 {
-		// Feed the watchdog's activity counter the virtual messages this
-		// member would have sent on the tree path (sent is owner-sharded;
-		// this goroutine is the owner).
-		p.mbox.sent.Add(uint64(msgs))
-	}
 	// Local advances recorded after the tail entry replay onto the
 	// settled clock in their original order.
 	for _, d := range p.deltaBuf[p.deltaLo:] {
@@ -682,7 +594,7 @@ type fusedSim struct {
 // fusedCompute validates the entries of a full, fully resolved
 // rendezvous, replays the collective's tree in dependency order, and
 // fills r.rels with one release per member. It runs in whichever
-// goroutine made the rendezvous computable (the last arriver, or a
+// process made the rendezvous computable (the last arriver, or a
 // completer cascading through symbolic entries).
 func fusedCompute(p *Proc, r *rendezvous) {
 	members := r.slot.members

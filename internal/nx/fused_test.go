@@ -307,11 +307,11 @@ func TestFusedSameMemberGroupsSequential(t *testing.T) {
 }
 
 // TestFusedDeadlockDetected: a member that never enters the collective
-// must still trip the deadlock watchdog in fused mode, with a diagnostic
+// must still be reported as a deadlock in fused mode, with a diagnostic
 // naming the fused wait.
 func TestFusedDeadlockDetected(t *testing.T) {
 	model := diffModel(1, 3)
-	_, err := Run(Config{Model: model, DeadlockAfter: 100e6, Collectives: CollectivesFused}, func(p *Proc) {
+	_, err := Run(Config{Model: model, Collectives: CollectivesFused}, func(p *Proc) {
 		if p.Rank() == 2 {
 			// Never enters the barrier; parks on a receive instead.
 			p.Recv(0, 7)
@@ -390,110 +390,128 @@ func runWindow(t *testing.T, model machine.Model, mode CollectiveMode, window in
 // samples — and asserts bit-identical results and exit clocks against
 // the tree path.
 func TestShardDifferentialRandomPrograms(t *testing.T) {
-	shapes := [][2]int{{1, 2}, {2, 2}, {1, 7}, {3, 5}, {4, 8}, {2, 16}}
 	for trial := 0; trial < 24; trial++ {
-		trial := trial
 		t.Run(fmt.Sprintf("trial%02d", trial), func(t *testing.T) {
-			shape := shapes[trial%len(shapes)]
-			model := diffModel(shape[0], shape[1])
-			procs := model.Nodes()
-			rng := rand.New(rand.NewSource(int64(4000 + trial)))
-			members := randMembers(rng, procs)
-			block := make([]int, 1+procs/3)
-			for i := range block {
-				block[i] = i
-			}
-			type op struct {
-				kind   int
-				root   int
-				size   int
-				exch   int // pairwise exchange batch length (0 = none)
-				sample bool
-				skews  []float64
-			}
-			ops := make([]op, 8+rng.Intn(8))
-			for i := range ops {
-				o := &ops[i]
-				o.kind = rng.Intn(6)
-				o.root = rng.Intn(len(members))
-				o.size = rng.Intn(5)
-				if rng.Intn(3) == 0 {
-					o.exch = 1 + rng.Intn(5)
-				}
-				o.sample = rng.Intn(3) == 0
-				o.skews = make([]float64, procs)
-				for r := range o.skews {
-					if rng.Intn(2) == 0 {
-						o.skews[r] = rng.Float64() * 1e-3
-					}
-				}
-			}
+			checkRandomProgram(t, int64(4000+trial), randomProgramShapes[trial%len(randomProgramShapes)])
+		})
+	}
+}
 
-			run := func(mode CollectiveMode) (*Result, [][]float64) {
-				exits := make([][]float64, procs)
-				body := func(p *Proc) {
-					me := -1
-					for i, m := range members {
-						if m == p.Rank() {
-							me = i
-						}
+// FuzzFusedVsTree drives the random-program differential from fuzz
+// arguments: seed draws the script, shape picks the mesh. The seed corpus
+// in testdata/fuzz/FuzzFusedVsTree holds TestShardDifferentialRandomPrograms'
+// trials.
+func FuzzFusedVsTree(f *testing.F) {
+	f.Fuzz(func(t *testing.T, seed int64, shape uint8) {
+		checkRandomProgram(t, seed, randomProgramShapes[int(shape)%len(randomProgramShapes)])
+	})
+}
+
+// randomProgramShapes are the meshes (rows, cols) the random programs run on.
+var randomProgramShapes = [][2]int{{1, 2}, {2, 2}, {1, 7}, {3, 5}, {4, 8}, {2, 16}}
+
+// checkRandomProgram runs the random collective script drawn from seed on
+// a shape mesh under both collective modes and asserts bit-identical
+// results and exit clocks.
+func checkRandomProgram(t *testing.T, seed int64, shape [2]int) {
+	t.Helper()
+	model := diffModel(shape[0], shape[1])
+	procs := model.Nodes()
+	rng := rand.New(rand.NewSource(seed))
+	members := randMembers(rng, procs)
+	block := make([]int, 1+procs/3)
+	for i := range block {
+		block[i] = i
+	}
+	type op struct {
+		kind   int
+		root   int
+		size   int
+		exch   int // pairwise exchange batch length (0 = none)
+		sample bool
+		skews  []float64
+	}
+	ops := make([]op, 8+rng.Intn(8))
+	for i := range ops {
+		o := &ops[i]
+		o.kind = rng.Intn(6)
+		o.root = rng.Intn(len(members))
+		o.size = rng.Intn(5)
+		if rng.Intn(3) == 0 {
+			o.exch = 1 + rng.Intn(5)
+		}
+		o.sample = rng.Intn(3) == 0
+		o.skews = make([]float64, procs)
+		for r := range o.skews {
+			if rng.Intn(2) == 0 {
+				o.skews[r] = rng.Float64() * 1e-3
+			}
+		}
+	}
+
+	run := func(mode CollectiveMode) (*Result, [][]float64) {
+		exits := make([][]float64, procs)
+		body := func(p *Proc) {
+			me := -1
+			for i, m := range members {
+				if m == p.Rank() {
+					me = i
+				}
+			}
+			var g, bg *Group
+			if me >= 0 {
+				g = p.Group(members)
+			}
+			if p.Rank() < len(block) {
+				bg = p.Group(block)
+			}
+			for _, o := range ops {
+				p.Compute(machine.OpVector, o.skews[p.Rank()]*1e9)
+				if o.exch > 0 {
+					if peer := p.Rank() ^ 1; peer < procs {
+						p.ExchangeBatchPhantom(peer, Tag(5), 8*o.exch, o.exch)
 					}
-					var g, bg *Group
-					if me >= 0 {
-						g = p.Group(members)
+				}
+				switch {
+				case g != nil:
+					switch o.kind {
+					case 0:
+						g.Barrier()
+					case 1:
+						g.BcastPhantom(o.root, 64+o.size)
+					case 2:
+						g.ReducePhantom(o.root, 8*(1+o.size))
+					case 3:
+						g.AllreducePhantom(o.root, 16)
+					case 4:
+						xs := []float64{float64(me) * 0.25, float64(o.size)}
+						got := g.AllreduceFloats(xs, SumOp)
+						exits[p.Rank()] = append(exits[p.Rank()], got...)
+					case 5:
+						g.BcastFlatPhantom(o.root, 32+o.size)
 					}
-					if p.Rank() < len(block) {
-						bg = p.Group(block)
-					}
-					for _, o := range ops {
-						p.Compute(machine.OpVector, o.skews[p.Rank()]*1e9)
-						if o.exch > 0 {
-							if peer := p.Rank() ^ 1; peer < procs {
-								p.ExchangeBatchPhantom(peer, Tag(5), 8*o.exch, o.exch)
-							}
-						}
-						switch {
-						case g != nil:
-							switch o.kind {
-							case 0:
-								g.Barrier()
-							case 1:
-								g.BcastPhantom(o.root, 64+o.size)
-							case 2:
-								g.ReducePhantom(o.root, 8*(1+o.size))
-							case 3:
-								g.AllreducePhantom(o.root, 16)
-							case 4:
-								xs := []float64{float64(me) * 0.25, float64(o.size)}
-								got := g.AllreduceFloats(xs, SumOp)
-								exits[p.Rank()] = append(exits[p.Rank()], got...)
-							case 5:
-								g.BcastFlatPhantom(o.root, 32+o.size)
-							}
-						default:
-							p.Compute(machine.OpScalar, 500)
-						}
-						if bg != nil && o.kind%2 == 0 {
-							bg.BcastPhantom(0, 128)
-						}
-						if o.sample {
-							exits[p.Rank()] = append(exits[p.Rank()], p.Now())
-						}
-					}
+				default:
+					p.Compute(machine.OpScalar, 500)
+				}
+				if bg != nil && o.kind%2 == 0 {
+					bg.BcastPhantom(0, 128)
+				}
+				if o.sample {
 					exits[p.Rank()] = append(exits[p.Rank()], p.Now())
 				}
-				return runWindow(t, model, mode, 0, body), exits
 			}
+			exits[p.Rank()] = append(exits[p.Rank()], p.Now())
+		}
+		return runWindow(t, model, mode, 0, body), exits
+	}
 
-			tree, treeExits := run(CollectivesTree)
-			fused, fusedExits := run(CollectivesFused)
-			assertResultsEqual(t, tree, fused)
-			for r := 0; r < procs; r++ {
-				if !reflect.DeepEqual(treeExits[r], fusedExits[r]) {
-					t.Fatalf("proc %d exit clocks diverge:\n tree  %v\n fused %v", r, treeExits[r], fusedExits[r])
-				}
-			}
-		})
+	tree, treeExits := run(CollectivesTree)
+	fused, fusedExits := run(CollectivesFused)
+	assertResultsEqual(t, tree, fused)
+	for r := 0; r < procs; r++ {
+		if !reflect.DeepEqual(treeExits[r], fusedExits[r]) {
+			t.Fatalf("proc %d exit clocks diverge:\n tree  %v\n fused %v", r, treeExits[r], fusedExits[r])
+		}
 	}
 }
 

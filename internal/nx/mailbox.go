@@ -1,10 +1,6 @@
 package nx
 
-import (
-	"fmt"
-	"sync"
-	"sync/atomic"
-)
+import "fmt"
 
 // Msg is a received message. Exactly one of Data or Floats is non-nil for
 // payload-carrying messages; both are nil for phantom messages, whose
@@ -19,7 +15,8 @@ type Msg struct {
 }
 
 // mailbox is the per-process receive queue with MPI-style (src, tag)
-// matching. put may be called from any goroutine; get only from the owner.
+// matching. put is called by whichever process sends; get only by the
+// owner.
 //
 // Pending messages live in a pooled ring buffer: slots are reused across
 // the run, so the phantom-mode hot path (millions of payload-free
@@ -28,30 +25,17 @@ type Msg struct {
 // wildcard matching and per-sender FIFO behave exactly as the old
 // append/delete slice did.
 type mailbox struct {
-	mu   sync.Mutex
-	cond *sync.Cond
 	// buf is the ring: count messages starting at head, oldest first.
-	buf     []Msg
-	head    int
-	count   int
-	aborted bool
-	// wantSrc/wantTag describe the in-progress blocked receive for
-	// deadlock diagnostics; valid only while waiting is true. waiting
-	// also gates the wakeup signal: a put that finds no blocked owner
-	// skips the notify entirely (the owner will scan the ring on its
-	// next get), which removes a futex operation from most deliveries.
-	waiting bool
+	buf   []Msg
+	head  int
+	count int
+	// blocked is the owner's park state: blockedRecv while it waits in
+	// get for (wantSrc, wantTag), blockedFused while it waits in a
+	// fused-collective rendezvous (fused.go), 0 while it is runnable. The
+	// deadlock diagnostics read it.
+	blocked int8
 	wantSrc int
 	wantTag Tag
-
-	// Watchdog counters, sharded per process so the hot path never
-	// contends on a shared cache line. sent counts messages sent *by*
-	// this mailbox's owner (updated only from the owner goroutine);
-	// blocked is blockedRecv while the owner is parked in a receive and
-	// blockedFused while it is parked in a fused-collective rendezvous
-	// (fused.go). The deadlock watchdog reads both across all processes.
-	sent    atomic.Uint64
-	blocked atomic.Int32
 }
 
 // blocked states (mailbox.blocked).
@@ -60,23 +44,18 @@ const (
 	blockedFused = 2 // parked in a fused-collective rendezvous
 )
 
-func (m *mailbox) init() {
-	m.cond = sync.NewCond(&m.mu)
-}
-
 // put appends one message to the ring, constructing it in place in the
 // ring slot — the pooled scratch that keeps the phantom hot path at one
-// struct store per delivery, no intermediate Msg value.
+// struct store per delivery, no intermediate Msg value. It reports whether
+// the message satisfies the receive the owner is parked in, in which case
+// the caller wakes the owner.
 //
-// The wakeup is match-aware: a parked owner is signalled only when the
-// arriving message satisfies the (src, tag) it is blocked on. Eager
-// sending means messages for *future* receives routinely land while the
-// owner waits on an earlier one; waking it to rescan and re-park for each
-// of those is pure scheduler churn. A non-matching message just joins the
-// ring — the owner's next full scan (on the matching wakeup, or on its
-// next get) finds it there.
-func (m *mailbox) put(src int, tag Tag, data []byte, floats []float64, nbytes int, arriveAt float64) {
-	m.mu.Lock()
+// The wakeup is match-aware: eager sending means messages for *future*
+// receives routinely land while the owner waits on an earlier one, and
+// resuming it to rescan and re-park for each of those is pure scheduler
+// churn. A non-matching message just joins the ring — the owner's next
+// scan (on the matching wakeup, or on its next get) finds it there.
+func (m *mailbox) put(src int, tag Tag, data []byte, floats []float64, nbytes int, arriveAt float64) bool {
 	if m.count == len(m.buf) {
 		m.grow()
 	}
@@ -85,13 +64,9 @@ func (m *mailbox) put(src int, tag Tag, data []byte, floats []float64, nbytes in
 		Bytes: nbytes, ArriveAt: arriveAt,
 	}
 	m.count++
-	wake := m.waiting &&
+	return m.blocked == blockedRecv &&
 		(m.wantSrc == AnySrc || src == m.wantSrc) &&
 		(m.wantTag == AnyTag || tag == m.wantTag)
-	m.mu.Unlock()
-	if wake {
-		m.cond.Signal()
-	}
 }
 
 // grow doubles the ring (from a small floor), unrolling it so the oldest
@@ -109,30 +84,32 @@ func (m *mailbox) grow() {
 	m.head = 0
 }
 
-// get blocks until a message matching (src, tag) is available and removes
-// it from the queue. Matching scans pending messages in arrival order, so
-// messages from a given source are received in the order they were sent.
-func (m *mailbox) get(src int, tag Tag) Msg {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+// get removes and returns the oldest message matching (src, tag), parking
+// the owner p until one is delivered. Matching scans pending messages in
+// arrival order, so messages from a given source are received in the order
+// they were sent.
+func (m *mailbox) get(p *Proc, src int, tag Tag) Msg {
 	for {
-		if m.aborted {
-			panic(deadlockSignal{})
+		if i := m.find(src, tag); i >= 0 {
+			out := m.buf[(m.head+i)%len(m.buf)]
+			m.remove(i)
+			return out
 		}
-		for i := 0; i < m.count; i++ {
-			msg := &m.buf[(m.head+i)%len(m.buf)]
-			if (src == AnySrc || msg.Src == src) && (tag == AnyTag || msg.Tag == tag) {
-				out := *msg
-				m.remove(i)
-				return out
-			}
-		}
-		m.waiting, m.wantSrc, m.wantTag = true, src, tag
-		m.blocked.Store(blockedRecv)
-		m.cond.Wait()
-		m.blocked.Store(0)
-		m.waiting = false
+		m.wantSrc, m.wantTag = src, tag
+		p.park(blockedRecv)
 	}
+}
+
+// find returns the arrival index (0 = oldest) of the first pending message
+// matching (src, tag), or -1.
+func (m *mailbox) find(src int, tag Tag) int {
+	for i := 0; i < m.count; i++ {
+		msg := &m.buf[(m.head+i)%len(m.buf)]
+		if (src == AnySrc || msg.Src == src) && (tag == AnyTag || msg.Tag == tag) {
+			return i
+		}
+	}
+	return -1
 }
 
 // remove deletes the i-th pending message (0 = oldest), preserving the
@@ -149,32 +126,9 @@ func (m *mailbox) remove(i int) {
 	m.count--
 }
 
-// probe reports whether a matching message is available without removing it.
-func (m *mailbox) probe(src int, tag Tag) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for i := 0; i < m.count; i++ {
-		msg := &m.buf[(m.head+i)%len(m.buf)]
-		if (src == AnySrc || msg.Src == src) && (tag == AnyTag || msg.Tag == tag) {
-			return true
-		}
-	}
-	return false
-}
-
-// abort wakes every waiter with a teardown signal and poisons the mailbox.
-func (m *mailbox) abort() {
-	m.mu.Lock()
-	m.aborted = true
-	m.mu.Unlock()
-	m.cond.Broadcast()
-}
-
 // waitingFor describes the blocked receive, if any, for diagnostics.
 func (m *mailbox) waitingFor() string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if !m.waiting {
+	if m.blocked != blockedRecv {
 		return ""
 	}
 	src := "any"

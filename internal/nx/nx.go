@@ -2,31 +2,30 @@
 // Intel NX system software that ran the Touchstone Delta. It is the
 // substrate every distributed experiment in this repository executes on.
 //
-// Each simulated node is a goroutine running the same program body (SPMD).
-// Blocking send/receive with (source, tag) matching, wildcard receives and
-// tree-based collectives mirror the NX csend/crecv/gop interface.
+// Each simulated node runs the same program body (SPMD) as a coroutine, and
+// one scheduler loop on the goroutine that called Run resumes them one at a
+// time. Blocking send/receive with (source, tag) matching, wildcard receives
+// and tree-based collectives mirror the NX csend/crecv/gop interface.
 //
 // Time is virtual: each process owns a clock (package vtime); computation
 // advances it through the machine model (package machine); every message
 // carries its arrival timestamp, and a receive merges that timestamp into
-// the receiver's clock. The simulated makespan of a run is therefore a
-// deterministic function of the program and the machine model — independent
-// of host scheduling — provided receives name exact sources (wildcard
-// receives are matched in host arrival order; see Proc.Recv).
+// the receiver's clock. The scheduler resumes runnable processes in FIFO
+// order with no host concurrency, so a run — wildcard receive matches and
+// the reported panic included — is a deterministic function of the program
+// and the machine model.
 //
-// Sends are eager: the sending goroutine never blocks on the host, so
-// programs cannot deadlock on buffer exhaustion; rendezvous cost appears in
-// virtual time only. A watchdog detects true receive-cycle deadlocks and
-// fails the run with a diagnostic instead of hanging the test suite.
+// Sends are eager: a send never parks, so programs cannot deadlock on
+// buffer exhaustion; rendezvous cost appears in virtual time only. When no
+// process is runnable while some are still parked, the run is deadlocked:
+// Run reports it at once with a diagnostic instead of hanging the test
+// suite.
 package nx
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
-	"time"
+	"iter"
 
 	"repro/internal/machine"
 	"repro/internal/trace"
@@ -56,14 +55,10 @@ type Config struct {
 	Procs int
 	// Trace, if non-nil, records per-process activity spans.
 	Trace *trace.Recorder
-	// DeadlockAfter overrides the watchdog quiescence interval (host time).
-	// Zero means the 2s default. Tests inject small values.
-	DeadlockAfter time.Duration
-	// Ctx, if non-nil, cancels the run: once Ctx is done, every process
-	// is unblocked at its next receive (the boundary every collective
-	// passes through), the run tears down, and Run returns Ctx.Err()
-	// instead of a result. A nil Ctx preserves the classic
-	// run-to-completion behavior.
+	// Ctx, if non-nil, cancels the run: the scheduler checks it between
+	// process resumes, and once Ctx is done the run tears down and Run
+	// returns Ctx.Err() instead of a result. A nil Ctx preserves the
+	// classic run-to-completion behavior.
 	Ctx context.Context
 	// Collectives selects how Group collectives execute: fused analytic
 	// rendezvous (the default) or the legacy per-edge tree messages.
@@ -140,16 +135,18 @@ func (e *PanicError) Error() string {
 }
 
 // Run executes body on every process of a fresh runtime and returns the
-// aggregated result. It blocks until all processes finish, one of them
-// panics, the deadlock watchdog trips, or cfg.Ctx is cancelled.
+// aggregated result. It returns once all processes finish, one of them
+// panics, the run deadlocks, or cfg.Ctx is cancelled.
 func Run(cfg Config, body func(p *Proc)) (*Result, error) {
 	if err := cfg.Model.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Ctx != nil {
-		if err := cfg.Ctx.Err(); err != nil {
-			return nil, err
-		}
+	ctx := cfg.Ctx
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
 	n := cfg.Procs
 	if n == 0 {
@@ -157,10 +154,6 @@ func Run(cfg Config, body func(p *Proc)) (*Result, error) {
 	}
 	if n < 1 || n > cfg.Model.Nodes() {
 		return nil, fmt.Errorf("nx: Procs=%d invalid for %d-node model", n, cfg.Model.Nodes())
-	}
-	quiesce := cfg.DeadlockAfter
-	if quiesce <= 0 {
-		quiesce = 2 * time.Second
 	}
 
 	mode := cfg.Collectives
@@ -173,6 +166,7 @@ func Run(cfg Config, body func(p *Proc)) (*Result, error) {
 	}
 	rt := &runtime{
 		procs:     make([]*Proc, n),
+		ready:     make([]*Proc, n),
 		traceOn:   cfg.Trace != nil,
 		pendLimit: pendLimit,
 	}
@@ -184,104 +178,13 @@ func Run(cfg Config, body func(p *Proc)) (*Result, error) {
 		p.rank, p.size, p.model = i, n, cfg.Model
 		p.rt = rt
 		p.fused = mode == CollectivesFused
-		p.wakeCh = make(chan struct{}, 1)
 		p.initCaches()
-		p.mbox.init()
 		if cfg.Trace != nil {
 			p.tview = cfg.Trace.Proc(i)
 		}
 		rt.procs[i] = p
 	}
-
-	var wg sync.WaitGroup
-	errCh := make(chan error, n)
-	for _, p := range rt.procs {
-		wg.Add(1)
-		go func(p *Proc) {
-			defer wg.Done()
-			defer func() {
-				if v := recover(); v != nil {
-					if _, isDeadlock := v.(deadlockSignal); isDeadlock {
-						return // reported by the watchdog
-					}
-					errCh <- &PanicError{Rank: p.rank, Value: v}
-					rt.abort() // unblock everyone else
-				}
-			}()
-			body(p)
-			// Apply any deferred collective releases so the final clock
-			// and stats reflect every operation the body performed.
-			p.settle()
-		}(p)
-	}
-
-	// Deadlock watchdog: if every process is blocked in recv and no
-	// deliveries happen across a quiescence window, the run cannot make
-	// progress. The counters it sums are kept per process (see
-	// mailbox.sent/blocked), so the watchdog pays the aggregation cost —
-	// a few hundred atomic loads four times per second — instead of the
-	// hot path paying a contended atomic per message.
-	stop := make(chan struct{})
-	var watchErr error
-	var watchWg sync.WaitGroup
-	watchWg.Add(1)
-	go func() {
-		defer watchWg.Done()
-		tick := time.NewTicker(quiesce / 4)
-		defer tick.Stop()
-		var lastPuts uint64
-		stable := 0
-		for {
-			select {
-			case <-stop:
-				return
-			case <-tick.C:
-				blocked, puts := rt.counters()
-				if blocked == n && puts == lastPuts {
-					stable++
-					if stable >= 4 { // a full quiescence window
-						watchErr = &DeadlockError{Waiters: rt.waiters()}
-						rt.abort()
-						return
-					}
-				} else {
-					stable = 0
-				}
-				lastPuts = puts
-			}
-		}
-	}()
-
-	// Cancellation watcher: a done Ctx aborts the runtime, which unblocks
-	// every receive — the boundary all collectives pass through — so a
-	// cancelled sweep job stops promptly instead of simulating to the end.
-	if cfg.Ctx != nil {
-		watchWg.Add(1)
-		go func() {
-			defer watchWg.Done()
-			select {
-			case <-stop:
-			case <-cfg.Ctx.Done():
-				rt.abort()
-			}
-		}()
-	}
-
-	wg.Wait()
-	close(stop)
-	watchWg.Wait()
-	close(errCh)
-	if cfg.Ctx != nil {
-		if err := cfg.Ctx.Err(); err != nil {
-			// The processes were torn down mid-run; the cancellation, not
-			// any secondary teardown symptom, is the run's outcome.
-			return nil, err
-		}
-	}
-	if watchErr != nil {
-		return nil, watchErr
-	}
-	if err, ok := <-errCh; ok {
+	if err := rt.schedule(ctx, body); err != nil {
 		return nil, err
 	}
 
@@ -299,48 +202,113 @@ func Run(cfg Config, body func(p *Proc)) (*Result, error) {
 	return res, nil
 }
 
-// runtime is the shared state of one Run invocation.
+// runtime is the shared state of one Run invocation. Everything in it is
+// touched only by the scheduler loop and the process it is resuming, one
+// at a time, so nothing is locked.
 type runtime struct {
 	procs   []*Proc
 	traceOn bool // cfg.Trace was set; fused releases carry trace spans
 
-	// The fused-collective engine. mu guards the slot map and every
-	// slot's and rendezvous' state, plus the pooled cascade worklist and
-	// the wake list drained after mu drops (see fused.go). slotsAborted
-	// poisons fused waits once the run tears down. pendLimit bounds each
-	// member's deferred-settlement chain (see adaptivePendLimit).
-	mu           sync.Mutex
-	slots        map[string]*groupSlot
-	cascade      []*rendezvous
-	wake         []*Proc
-	slotsAborted atomic.Bool
-	pendLimit    int
+	// ready is the FIFO run queue, a ring of len(procs) slots: queued
+	// processes starting at head. A process is queued at most once (at
+	// start, then once per wake from a park), so the ring never overflows.
+	ready  []*Proc
+	head   int
+	queued int
+	// err is the first process panic; the scheduler stops at it.
+	err error
+
+	// The fused-collective engine: the slot map and the pooled cascade
+	// worklist (see fused.go). pendLimit bounds each member's
+	// deferred-settlement chain (see adaptivePendLimit).
+	slots     map[string]*groupSlot
+	cascade   []*rendezvous
+	pendLimit int
 }
 
-// counters aggregates the per-process watchdog counters: how many
-// processes are blocked (in a receive or a fused-collective rendezvous)
-// right now, and the total messages sent so far.
-func (rt *runtime) counters() (blocked int, puts uint64) {
+// schedule runs every process body as an iter.Pull coroutine on the calling
+// goroutine. It resumes queued processes in FIFO order, starting from ranks
+// 0..n-1; a process runs until it finishes or parks (Proc.park), and a
+// parked process runs again only after a wake queues it. An empty queue
+// with processes still parked is a deadlock, known exactly. On any return
+// every unfinished coroutine is stopped, which unwinds its parked body.
+func (rt *runtime) schedule(ctx context.Context, body func(p *Proc)) error {
+	done := ctx.Done()
+	live := len(rt.procs)
 	for _, p := range rt.procs {
-		if p.mbox.blocked.Load() != 0 {
-			blocked++
+		p.resume, p.stop = iter.Pull(p.coroutine(body))
+	}
+	defer func() {
+		for _, p := range rt.procs {
+			p.stop()
 		}
-		puts += p.mbox.sent.Load()
+	}()
+	copy(rt.ready, rt.procs)
+	rt.queued = len(rt.procs)
+	for rt.queued > 0 {
+		select {
+		case <-done:
+			return ctx.Err()
+		default:
+		}
+		p := rt.ready[rt.head]
+		rt.ready[rt.head] = nil
+		rt.head = (rt.head + 1) % len(rt.ready)
+		rt.queued--
+		if _, more := p.resume(); !more {
+			live--
+		}
+		if rt.err != nil {
+			return rt.err
+		}
 	}
-	return blocked, puts
+	if live > 0 {
+		return &DeadlockError{Waiters: rt.waiters()}
+	}
+	return nil
 }
 
-func (rt *runtime) abort() {
-	for _, p := range rt.procs {
-		p.mbox.abort()
+// coroutine wraps body for process p: it runs the body and settles any
+// deferred collective releases, so the final clock and stats reflect every
+// operation the body performed. A panic is recorded as the run's error
+// (the first one wins, which the FIFO schedule makes deterministic); the
+// deadlockSignal a torn-down park raises just ends the coroutine.
+func (p *Proc) coroutine(body func(p *Proc)) iter.Seq[struct{}] {
+	return func(yield func(struct{}) bool) {
+		p.yield = yield
+		defer func() {
+			if v := recover(); v != nil {
+				if _, torn := v.(deadlockSignal); !torn && p.rt.err == nil {
+					p.rt.err = &PanicError{Rank: p.rank, Value: v}
+				}
+			}
+		}()
+		body(p)
+		p.settle()
 	}
-	rt.abortSlots()
+}
+
+// park suspends p in the given blocked state (blockedRecv or blockedFused)
+// until a wake queues it again. If the run is torn down instead, the yield
+// returns false and the park unwinds the body with deadlockSignal.
+func (p *Proc) park(state int8) {
+	p.mbox.blocked = state
+	if !p.yield(struct{}{}) {
+		panic(deadlockSignal{})
+	}
+}
+
+// wake queues a parked process to run again.
+func (rt *runtime) wake(p *Proc) {
+	p.mbox.blocked = 0
+	rt.ready[(rt.head+rt.queued)%len(rt.ready)] = p
+	rt.queued++
 }
 
 func (rt *runtime) waiters() []string {
 	var out []string
 	for _, p := range rt.procs {
-		if p.mbox.blocked.Load() == blockedFused {
+		if p.mbox.blocked == blockedFused {
 			out = append(out, fmt.Sprintf("rank %d waiting in a fused collective (another member never entered it)", p.rank))
 			continue
 		}
@@ -351,9 +319,6 @@ func (rt *runtime) waiters() []string {
 	return out
 }
 
-// errAborted is what receives observe when the run is torn down.
-var errAborted = errors.New("nx: run aborted")
-
-// deadlockSignal is panicked inside a process goroutine to unwind it when
-// the watchdog (or a sibling panic) aborts the run.
+// deadlockSignal is panicked inside a parked process to unwind its body
+// when the run tears down (deadlock, cancellation or a sibling's panic).
 type deadlockSignal struct{}

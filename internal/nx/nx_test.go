@@ -1,7 +1,9 @@
 package nx
 
 import (
+	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -196,6 +198,41 @@ func TestProbe(t *testing.T) {
 	})
 }
 
+// TestWildcardRecvDeterministic: which message a wildcard receive matches
+// is a function of the program, not of host scheduling — a fan-in through
+// AnySrc sees the same source sequence and the same Result on every run.
+func TestWildcardRecvDeterministic(t *testing.T) {
+	model := tiny(2, 4)
+	run := func() ([]int, *Result) {
+		var srcs []int
+		res := mustRun(t, Config{Model: model}, func(p *Proc) {
+			if p.Rank() != 0 {
+				for i := 0; i < 3; i++ {
+					p.Compute(machine.OpScalar, float64(1000*((p.Rank()*7+i)%5)))
+					p.SendPhantom(0, Tag(i), 64*p.Rank())
+				}
+				return
+			}
+			for i := 0; i < 3*(p.Size()-1); i++ {
+				m := p.Recv(AnySrc, AnyTag)
+				srcs = append(srcs, m.Src)
+				p.Compute(machine.OpScalar, 100)
+			}
+		})
+		return srcs, res
+	}
+	wantSrcs, want := run()
+	for i := 0; i < 50; i++ {
+		srcs, res := run()
+		if !reflect.DeepEqual(srcs, wantSrcs) {
+			t.Fatalf("run %d: wildcard sources %v, first run %v", i, srcs, wantSrcs)
+		}
+		if !reflect.DeepEqual(res, want) {
+			t.Fatalf("run %d: result %+v, first run %+v", i, res, want)
+		}
+	}
+}
+
 func TestVirtualTimePointToPoint(t *testing.T) {
 	model := tiny(1, 2)
 	res := mustRun(t, Config{Model: model}, func(p *Proc) {
@@ -327,12 +364,36 @@ func TestBodyPanicPropagates(t *testing.T) {
 	}
 }
 
-func TestDeadlockDetected(t *testing.T) {
-	_, err := Run(Config{Model: tiny(1, 2), DeadlockAfter: 200 * time.Millisecond},
-		func(p *Proc) {
-			// classic cycle: both receive before sending
-			p.Recv(1-p.Rank(), 0)
+// TestPanicErrorDeterministic: when several ranks panic, Run reports the
+// same one every time.
+func TestPanicErrorDeterministic(t *testing.T) {
+	want := -1
+	for i := 0; i < 50; i++ {
+		_, err := Run(Config{Model: tiny(2, 2)}, func(p *Proc) {
+			if p.Rank() == 1 || p.Rank() == 3 {
+				panic(fmt.Sprintf("boom from %d", p.Rank()))
+			}
+			p.Recv(AnySrc, AnyTag)
 		})
+		var pe *PanicError
+		if !asErr(err, &pe) {
+			t.Fatalf("run %d: want PanicError, got %v", i, err)
+		}
+		if want < 0 {
+			want = pe.Rank
+		}
+		if pe.Rank != want {
+			t.Fatalf("run %d: panic reported from rank %d, first run rank %d", i, pe.Rank, want)
+		}
+	}
+}
+
+func TestDeadlockDetected(t *testing.T) {
+	start := time.Now()
+	_, err := Run(Config{Model: tiny(1, 2)}, func(p *Proc) {
+		// classic cycle: both receive before sending
+		p.Recv(1-p.Rank(), 0)
+	})
 	var de *DeadlockError
 	if !asErr(err, &de) {
 		t.Fatalf("want DeadlockError, got %v", err)
@@ -340,21 +401,23 @@ func TestDeadlockDetected(t *testing.T) {
 	if len(de.Waiters) != 2 {
 		t.Fatalf("waiters = %v, want 2 entries", de.Waiters)
 	}
+	if elapsed := time.Since(start); elapsed >= time.Second {
+		t.Fatalf("deadlock reported after %v, want it at once", elapsed)
+	}
 }
 
 func TestNoFalseDeadlockUnderLoad(t *testing.T) {
-	// A run that is slow but progressing must not trip the watchdog.
-	_, err := Run(Config{Model: tiny(1, 2), DeadlockAfter: 100 * time.Millisecond},
-		func(p *Proc) {
-			for i := 0; i < 20; i++ {
-				if p.Rank() == 0 {
-					time.Sleep(20 * time.Millisecond) // host-slow sender
-					p.SendPhantom(1, 0, 0)
-				} else {
-					p.Recv(0, 0)
-				}
+	// A run that is slow in host time but progressing is not a deadlock.
+	_, err := Run(Config{Model: tiny(1, 2)}, func(p *Proc) {
+		for i := 0; i < 20; i++ {
+			if p.Rank() == 0 {
+				time.Sleep(20 * time.Millisecond) // host-slow sender
+				p.SendPhantom(1, 0, 0)
+			} else {
+				p.Recv(0, 0)
 			}
-		})
+		}
+	})
 	if err != nil {
 		t.Fatalf("false positive deadlock: %v", err)
 	}

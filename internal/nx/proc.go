@@ -9,7 +9,7 @@ import (
 )
 
 // Proc is one simulated process. All methods must be called from the
-// goroutine Run started for it.
+// process's own body, the coroutine Run started for it.
 type Proc struct {
 	rank  int
 	size  int
@@ -21,20 +21,22 @@ type Proc struct {
 	tview *trace.ProcView
 	fused bool // run-wide collective mode (see Config.Collectives)
 
-	// Deferred-settlement state (fused mode; owner-goroutine only except
-	// where noted). pend is the chain of rendezvous whose releases this
-	// process has not yet applied; while it is non-empty the clock is
-	// stale and local advances accumulate in deltaBuf (deltaBuf[deltaLo:]
-	// are the advances since the last entry was posted). deltaBuf entries
-	// up to deltaLo are read by resolvers on other goroutines; the owner
+	// The coroutine Run drives this process with (see runtime.schedule):
+	// yield parks the body, resume and stop are the scheduler's handles.
+	yield  func(struct{}) bool
+	resume func() (struct{}, bool)
+	stop   func()
+
+	// Deferred-settlement state (fused mode). pend is the chain of
+	// rendezvous whose releases this process has not yet applied; while it
+	// is non-empty the clock is stale and local advances accumulate in
+	// deltaBuf (deltaBuf[deltaLo:] are the advances since the last entry
+	// was posted). deltaBuf entries up to deltaLo are read when other
+	// members' posts resolve this process's symbolic entries; the owner
 	// only appends, and resets only after every reader is done (settle).
 	pend     []pendRef
 	deltaBuf []float64
 	deltaLo  int
-	// wakeCh is this process's private settle wakeup (capacity 1): fused
-	// completions and run teardown signal it, so woken settlers never
-	// re-acquire the engine lock.
-	wakeCh chan struct{}
 	// exchSlots caches per-peer exchange rendezvous anchors (see
 	// ExchangeBatchPhantom).
 	exchSlots map[int]*groupSlot
@@ -185,11 +187,9 @@ func (p *Proc) sendRaw(dst int, tag Tag, data []byte, floats []float64, nbytes i
 	p.clock.Advance(p.model.Net.SendOverhead + float64(nbytes)*p.model.Net.ByteTime)
 	arrive := p.clock.Now() + p.model.Net.Latency +
 		float64(p.hops(dst))*p.model.Net.PerHop
-	p.rt.procs[dst].mbox.put(p.rank, tag, data, floats, nbytes, arrive)
-	// The delivery count feeds the deadlock watchdog's quiescence check;
-	// it is sharded onto the sender's own mailbox to keep the hot path
-	// off any shared cache line.
-	p.mbox.sent.Add(1)
+	if q := p.rt.procs[dst]; q.mbox.put(p.rank, tag, data, floats, nbytes, arrive) {
+		p.rt.wake(q)
+	}
 	p.stats.BytesSent += int64(nbytes)
 	p.stats.MsgsSent++
 	p.tview.Add(trace.PhaseSend, start, p.clock.Now())
@@ -286,7 +286,7 @@ func (p *Proc) recvRaw(src int, tag Tag) Msg {
 		p.settle() // merging the arrival needs the concrete clock
 	}
 	start := p.clock.Now()
-	msg := p.mbox.get(src, tag)
+	msg := p.mbox.get(p, src, tag)
 	if msg.ArriveAt > p.clock.Now() {
 		p.stats.RecvWait += msg.ArriveAt - p.clock.Now()
 		p.clock.MergeAtLeast(msg.ArriveAt)
@@ -297,11 +297,8 @@ func (p *Proc) recvRaw(src int, tag Tag) Msg {
 }
 
 // Recv blocks until a message matching (src, tag) arrives (crecv). src may
-// be AnySrc and tag may be AnyTag.
-//
-// Virtual time is deterministic only for exact-source receives: wildcard
-// receives match in host arrival order, which can vary between runs when
-// multiple candidates race.
+// be AnySrc and tag may be AnyTag; a wildcard receive takes the oldest
+// matching message in delivery order.
 func (p *Proc) Recv(src int, tag Tag) Msg {
 	p.checkTag(tag, true)
 	return p.recvRaw(src, tag)
@@ -319,8 +316,10 @@ func (p *Proc) RecvFloats(src int, tag Tag) []float64 {
 }
 
 // Probe reports whether a message matching (src, tag) is already queued.
+// It never parks, so other processes do not run while a body loops on it:
+// wait for a message with Recv or IRecv instead.
 func (p *Proc) Probe(src int, tag Tag) bool {
-	return p.mbox.probe(src, tag)
+	return p.mbox.find(src, tag) >= 0
 }
 
 // Request is a pending nonblocking receive posted with IRecv. Wait
