@@ -219,13 +219,14 @@ type ScalingPoint struct {
 
 // StrongScaling runs the solver in phantom mode at fixed problem size for
 // each process count and reports speedup relative to the first entry.
-func StrongScaling(model machine.Model, nxCells, nyCells, iters int, procs []int) ([]ScalingPoint, error) {
+// Cancelling ctx stops the simulation in progress (see Config.Ctx).
+func StrongScaling(ctx context.Context, model machine.Model, nxCells, nyCells, iters int, procs []int) ([]ScalingPoint, error) {
 	var out []ScalingPoint
 	var t1 float64
 	for i, p := range procs {
 		o, err := RunDistributed(Config{
 			NX: nxCells, NY: nyCells, Iters: iters,
-			Procs: p, Model: model, Phantom: true,
+			Procs: p, Model: model, Phantom: true, Ctx: ctx,
 		})
 		if err != nil {
 			return nil, err

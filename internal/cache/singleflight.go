@@ -8,7 +8,14 @@ package cache
 // miss (the entry is only written after the run) and the "cache" would
 // multiply load exactly when it matters most.
 
-import "sync"
+import (
+	"errors"
+	"sync"
+)
+
+// errLeaderPanicked is what callers that joined a flight receive when
+// the call they joined panicked instead of returning.
+var errLeaderPanicked = errors.New("cache: the coalesced call panicked")
 
 // Flight deduplicates concurrent calls by key. The zero value is ready
 // to use; a Flight must not be copied after first use.
@@ -29,7 +36,8 @@ type flightCall struct {
 // result instead, with shared=true. The result of a call is delivered to
 // every waiter verbatim, errors included; a new call with the same key
 // after the first completes runs fn again (results are not cached here —
-// that is the Cache's job).
+// that is the Cache's job). A panic in fn propagates to this caller;
+// callers that joined the flight get an error, and the key is free again.
 func (f *Flight) Do(key string, fn func() (any, error)) (val any, shared bool, err error) {
 	f.mu.Lock()
 	if c, ok := f.calls[key]; ok {
@@ -45,13 +53,17 @@ func (f *Flight) Do(key string, fn func() (any, error)) (val any, shared bool, e
 	f.calls[key] = c
 	f.mu.Unlock()
 
-	c.val, c.err = fn()
-
 	// Unregister before waking the waiters: a Do arriving after the wake
 	// must start a fresh call, not join one that has already finished.
-	f.mu.Lock()
-	delete(f.calls, key)
-	f.mu.Unlock()
-	close(c.done)
+	// Deferred, so a panicking fn cannot leave the key wedged; c.err
+	// keeps errLeaderPanicked unless fn returns.
+	c.err = errLeaderPanicked
+	defer func() {
+		f.mu.Lock()
+		delete(f.calls, key)
+		f.mu.Unlock()
+		close(c.done)
+	}()
+	c.val, c.err = fn()
 	return c.val, false, c.err
 }

@@ -103,3 +103,30 @@ func TestFlightErrorsReachEveryWaiterThenClear(t *testing.T) {
 		t.Fatalf("key stayed poisoned after an error: v=%v shared=%v err=%v", v, shared, err)
 	}
 }
+
+func TestFlightPanicFreesKey(t *testing.T) {
+	var f Flight
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("the panic in fn did not reach the caller")
+			}
+		}()
+		f.Do("k", func() (any, error) { panic("boom") })
+	}()
+	// The panicked call must not wedge the key: the next call runs fn
+	// afresh instead of waiting for a flight that will never land.
+	got := make(chan any, 1)
+	go func() {
+		v, _, _ := f.Do("k", func() (any, error) { return "fresh", nil })
+		got <- v
+	}()
+	select {
+	case v := <-got:
+		if v != "fresh" {
+			t.Fatalf("call after a panic got %v, want a fresh run", v)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("key wedged: a Do after a panicking Do never returned")
+	}
+}

@@ -39,13 +39,15 @@ func TestBudgetExpiryFailsRunSweepReport(t *testing.T) {
 		{"run", "E1", "-budget", "1ns"},
 		{"sweep", "-ids", "E1", "-quick", "-budget", "1ns"},
 		{"report", "-quick", "-budget", "1ns"},
+		// E4 runs for seconds: the deadline must stop its simulation.
+		{"run", "E4", "-budget", "50ms"},
 	} {
 		_, errOut, code := run(t, args...)
 		if code == 0 {
 			t.Errorf("%v: exhausted budget exited 0", args)
 			continue
 		}
-		if !strings.Contains(errOut, "budget 1ns exhausted") {
+		if !strings.Contains(errOut, "budget "+args[len(args)-1]+" exhausted") {
 			t.Errorf("%v: error does not name the budget: %s", args, errOut)
 		}
 		if !strings.Contains(errOut, "deadline exceeded") {

@@ -14,7 +14,6 @@ import (
 	"io"
 
 	"repro/internal/cache"
-	"repro/internal/harness"
 )
 
 // cacheFlags carries the result-cache flag common to run, sweep and
@@ -35,15 +34,6 @@ func (cf *cacheFlags) open() (*cache.Cache, error) {
 		return nil, nil
 	}
 	return cache.Open(cf.dir)
-}
-
-// wrap layers the cache onto an executor; a nil cache leaves the executor
-// untouched.
-func wrapExecutor(ex harness.Executor, c *cache.Cache) harness.Executor {
-	if c == nil {
-		return ex
-	}
-	return &harness.CachingExecutor{Inner: ex, Cache: c}
 }
 
 // cmdCache is the cache maintenance subcommand: `hpcc cache prune`
@@ -82,36 +72,4 @@ func cmdCache(_ context.Context, args []string, stdout, stderr io.Writer) error 
 	fmt.Fprintf(stdout, "pruned %s: evicted %d entries (%d bytes), kept %d entries (%d bytes)\n",
 		c.Dir(), st.Evicted, st.FreedBytes, st.Kept, st.KeptBytes)
 	return nil
-}
-
-// runCached runs one workload through the cache: a hit skips the run, a
-// miss runs and records. A nil cache degrades to a plain run. A cache
-// write failure is a stderr note, never a command failure — the result is
-// already in hand.
-func runCached(ctx context.Context, c *cache.Cache, w harness.Workload, p harness.Params, stderr io.Writer) (harness.Result, error) {
-	if c == nil {
-		res, err := w.Run(ctx, p)
-		if err == nil && res.WorkloadID == "" {
-			res.WorkloadID = w.ID()
-		}
-		return res, err
-	}
-	version := harness.VersionOf(w)
-	if res, ok := c.Get(w.ID(), p, version); ok {
-		if res.WorkloadID == "" {
-			res.WorkloadID = w.ID()
-		}
-		return res, nil
-	}
-	res, err := w.Run(ctx, p)
-	if err != nil {
-		return res, err
-	}
-	if res.WorkloadID == "" {
-		res.WorkloadID = w.ID()
-	}
-	if perr := c.Put(w.ID(), p, version, res); perr != nil {
-		fmt.Fprintf(stderr, "hpcc: %v\n", perr)
-	}
-	return res, nil
 }

@@ -1,7 +1,6 @@
 // Package cli implements the hpcc command: one front door to every
 // workload in the registry — the paper exhibits, the Grand Challenge
-// kernels, the LINPACK and NREN experiments — plus the legacy
-// single-purpose tools as subcommands.
+// kernels, the LINPACK, mesh and NREN experiments.
 //
 //	hpcc report             # every exhibit, across host cores
 //	hpcc list               # the workload catalog
@@ -10,23 +9,21 @@
 //	hpcc sweep -shards 4    # the same sweep across 4 worker processes
 //	hpcc worker             # shard child: the wire protocol on stdin/stdout
 //	hpcc diff latest~1 latest  # compare two stored snapshots
-//	hpcc linpack -sweep nb  # the old linpack binary
-//	hpcc nren -storm        # the old nrensim binary
-//	hpcc delta              # the old deltasim binary
-//	hpcc funding            # the old funding binary
 //
 // # How the pipeline hangs together
 //
 // Each workload package registers itself with repro/internal/harness at
 // init time (the blank imports below pull every family in). The
-// subcommands then only ever talk to the registry: list walks it, run
-// looks one workload up, and report/sweep hand Jobs to a
-// harness.Executor — the in-process pool (-j), or with -shards N the
-// fleet executor (-remote's) over N `hpcc worker` children re-exec'ed
-// from this binary, speaking the JSONL wire on their stdin/stdout. All
-// executors assemble results in job order and stream each finished
-// prefix as it completes, so output is byte-identical at any -j or
-// -shards while long sweeps show progress. With -store, run/sweep/report
+// subcommands then only ever talk to the registry: list walks it, and
+// run, report, sweep, resume and serve all turn their request into a job
+// list and hand it to one pipeline (pipeline.go): the innermost executor
+// — the in-process pool (-j), with -shards N the fleet executor
+// (-remote's) over N `hpcc worker` children re-exec'ed from this binary,
+// or for a single job one in-process worker — fronted by the result
+// cache and the journal, with one renderer per mode. All executors
+// assemble results in job order and stream each finished prefix as it
+// completes, so output is byte-identical at any -j or -shards while long
+// sweeps show progress. With -store, run/sweep/report
 // additionally append their structured results to a repro/internal/store
 // run store as one snapshot (keyed by workload ID + canonical params +
 // commit), and diff resolves two snapshots by ref (latest, latest~N, a
@@ -73,10 +70,6 @@ func commands() []command {
 		{"diff", "compare two stored snapshots and flag metric regressions", cmdDiff},
 		{"trend", "print one workload metric across stored snapshots (CLI twin of /api/v1/trend)", cmdTrend},
 		{"cache", "result-cache maintenance: prune entries by age/size", cmdCache},
-		{"linpack", "LINPACK benchmark and parameter sweeps (legacy tool)", cmdLinpack},
-		{"nren", "consortium network experiments (legacy tool)", cmdNren},
-		{"delta", "Delta mesh interconnect characterization (legacy tool)", cmdDelta},
-		{"funding", "federal HPCC budget tables and analytics (legacy tool)", cmdFunding},
 	}
 }
 

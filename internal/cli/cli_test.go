@@ -156,18 +156,29 @@ func TestSweepIDsSubset(t *testing.T) {
 	}
 }
 
-func TestLegacyFundingCSV(t *testing.T) {
-	out, _, code := run(t, "funding", "-csv")
+// The four tests below cover what the retired linpack, delta, nren and
+// funding subcommands printed, through the registry commands that
+// replace them (docs/WORKLOADS.md, "Migrating from the legacy
+// subcommands").
+
+func TestRunE1FundingTable(t *testing.T) {
+	out, _, code := run(t, "run", "E1")
 	if code != 0 {
 		t.Fatalf("exit %d", code)
 	}
-	if !strings.Contains(out, "DARPA,232.2,275.0") || !strings.Contains(out, "Total,654.8,802.9") {
-		t.Fatalf("funding CSV wrong:\n%s", out)
+	rows := map[string]bool{}
+	for _, line := range strings.Split(out, "\n") {
+		rows[strings.Join(strings.Fields(line), ",")] = true
+	}
+	for _, want := range []string{"DARPA,232.2,275.0", "Total,654.8,802.9"} {
+		if !rows[want] {
+			t.Fatalf("funding table missing row %s:\n%s", want, out)
+		}
 	}
 }
 
-func TestLegacyLinpackQuickConfig(t *testing.T) {
-	out, _, code := run(t, "linpack", "-n", "1024", "-pr", "2", "-pc", "4")
+func TestRunLinpackDeltaSmallConfig(t *testing.T) {
+	out, _, code := run(t, "run", "linpack/delta", "-p", "n=1024", "-p", "pr=2", "-p", "pc=4")
 	if code != 0 {
 		t.Fatalf("exit %d", code)
 	}
@@ -176,18 +187,18 @@ func TestLegacyLinpackQuickConfig(t *testing.T) {
 	}
 }
 
-func TestLegacyDeltaSmallMesh(t *testing.T) {
-	out, _, code := run(t, "delta", "-rows", "4", "-cols", "4", "-packets", "5")
+func TestRunMeshSaturationSmallMesh(t *testing.T) {
+	out, _, code := run(t, "run", "mesh/saturation", "-p", "rows=4", "-p", "cols=4", "-p", "packets=5")
 	if code != 0 {
 		t.Fatalf("exit %d", code)
 	}
 	if !strings.Contains(out, "mesh 4x4, 16 nodes") {
-		t.Fatalf("delta output wrong:\n%s", out)
+		t.Fatalf("mesh output wrong:\n%s", out)
 	}
 }
 
-func TestLegacyNrenLinkClasses(t *testing.T) {
-	out, _, code := run(t, "nren")
+func TestSweepNrenLinkClasses(t *testing.T) {
+	out, _, code := run(t, "sweep", "-ids", "nren/link-classes,nren/transfer-matrix")
 	if code != 0 {
 		t.Fatalf("exit %d", code)
 	}

@@ -17,7 +17,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/harness"
 	"repro/internal/journal"
 	"repro/internal/nx"
@@ -29,6 +28,7 @@ type journalFlags struct {
 	dir    string
 	resume bool
 	jnl    *journal.Journal
+	done   map[int]harness.Result // completed jobs to replay
 }
 
 func (jf *journalFlags) register(fs *flag.FlagSet) {
@@ -69,13 +69,14 @@ func journalHeader(mode string, jobs []harness.Job, jsonOut bool) journal.Header
 }
 
 // open starts (or with -resume, reopens) the journal for this
-// invocation and returns the already-completed results to replay. A
-// no-op returning nil without -journal. An existing journal without
-// -resume is an error — silently appending a second run into it could
-// interleave two attempts' results.
-func (jf *journalFlags) open(mode string, jobs []harness.Job, jsonOut bool, stderr io.Writer) (map[int]harness.Result, error) {
-	if jf.dir == "" {
-		return nil, nil
+// invocation and loads the already-completed results to replay. A
+// no-op without -journal, or when the journal is already open (resume
+// hands in the one it verified). An existing journal without -resume is
+// an error — silently appending a second run into it could interleave
+// two attempts' results.
+func (jf *journalFlags) open(mode string, jobs []harness.Job, jsonOut bool, stderr io.Writer) error {
+	if jf == nil || jf.dir == "" || jf.jnl != nil {
+		return nil
 	}
 	h := journalHeader(mode, jobs, jsonOut)
 	path := journal.Path(jf.dir, h.Identity())
@@ -83,39 +84,39 @@ func (jf *journalFlags) open(mode string, jobs []harness.Job, jsonOut bool, stde
 		j, _, done, err := journal.Open(path, stderr)
 		if err == nil {
 			fmt.Fprintf(stderr, "hpcc: resuming journal %s: %d of %d job(s) already complete\n", path, len(done), len(jobs))
-			jf.jnl = j
-			return done, nil
+			jf.jnl, jf.done = j, done
+			return nil
 		}
 		if !errors.Is(err, fs.ErrNotExist) {
-			return nil, err
+			return err
 		}
 		fmt.Fprintf(stderr, "hpcc: no journal for this invocation in %s; starting fresh\n", jf.dir)
 	}
 	j, err := journal.Create(jf.dir, h)
 	if err != nil {
 		if errors.Is(err, journal.ErrExists) {
-			return nil, fmt.Errorf("%w; pass -resume to continue it, or remove the file", err)
+			return fmt.Errorf("%w; pass -resume to continue it, or remove the file", err)
 		}
-		return nil, err
+		return err
 	}
 	jf.jnl = j
-	return nil, nil
+	return nil
 }
 
 // wrap layers the checkpointing executor onto ex; a no-op without an
 // open journal.
-func (jf *journalFlags) wrap(ex harness.Executor, done map[int]harness.Result) harness.Executor {
-	if jf.jnl == nil {
+func (jf *journalFlags) wrap(ex harness.Executor) harness.Executor {
+	if jf == nil || jf.jnl == nil {
 		return ex
 	}
-	return &harness.JournalingExecutor{Inner: ex, Sink: jf.jnl, Done: done}
+	return &harness.JournalingExecutor{Inner: ex, Sink: jf.jnl, Done: jf.done}
 }
 
 // finish closes the journal out: a clean run removes it (the checkpoint
 // served its purpose), a failed or interrupted one keeps it and prints
 // the resume command.
 func (jf *journalFlags) finish(runErr error, stderr io.Writer) {
-	if jf.jnl == nil {
+	if jf == nil || jf.jnl == nil {
 		return
 	}
 	j := jf.jnl
@@ -144,12 +145,6 @@ func (df *drainFlags) register(fs *flag.FlagSet) {
 		"on SIGINT/SIGTERM, let in-flight jobs finish for up to this long before hard-cancelling (0 = cancel immediately)")
 }
 
-// wrap derives the context jobs run under: it outlives ctx by the grace
-// period, while the executor's drain channel (ctx.Done()) stops dispatch.
-func (df *drainFlags) wrap(ctx context.Context) (context.Context, context.CancelFunc) {
-	return harness.WithDrain(ctx, df.grace)
-}
-
 // persistableErr reports whether a failed sweep's completed prefix is
 // still worth persisting to the run store: a graceful drain, a
 // cancellation or budget expiry, or a contained panic all leave a
@@ -168,11 +163,11 @@ func persistableErr(err error) bool {
 // persistPrefix writes the completed prefix of an interrupted sweep to
 // the run store (a no-op without -store). The context is detached from
 // cancellation: the whole point is persisting after ctx died.
-func (sf *storeFlags) persistPrefix(ctx context.Context, results []harness.Result, params func(int) harness.Params, stderr io.Writer) {
+func (sf *storeFlags) persistPrefix(ctx context.Context, jobs []harness.Job, results []harness.Result, stderr io.Writer) {
 	if len(results) == 0 {
 		return
 	}
-	if err := sf.persistResults(context.WithoutCancel(ctx), results, params, stderr); err != nil {
+	if err := sf.persistResults(context.WithoutCancel(ctx), jobs, results, stderr); err != nil {
 		fmt.Fprintf(stderr, "hpcc: persisting completed prefix: %v\n", err)
 	}
 }
@@ -242,69 +237,37 @@ func cmdResume(ctx context.Context, args []string, stdout, stderr io.Writer) err
 		}
 		jobList[i] = harness.Job{Workload: w, Params: hj.Params}
 	}
+	if _, ok := renderers[h.Mode]; !ok {
+		j.Close()
+		return fmt.Errorf("resume: journal %s has unknown mode %q", path, h.Mode)
+	}
 	resultCache, err := cf.open()
 	if err != nil {
 		j.Close()
 		return err
 	}
-	fmt.Fprintf(stderr, "hpcc: resuming %s %s: %d of %d job(s) already complete\n", h.Mode, h.Hash, len(done), len(jobList))
-
 	inner, err := newExecutor(*shards, *jobs, *remote, tf.token, ctx.Done(), stderr)
 	if err != nil {
 		j.Close()
 		return err
 	}
-	jf := &journalFlags{dir: *dir, jnl: j}
-	ex := jf.wrap(wrapExecutor(inner, resultCache), done)
-
-	jobCtx, stopGrace := df.wrap(ctx)
-	defer stopGrace()
-	runBase, cancelBudget := bf.apply(jobCtx)
-	defer cancelBudget()
-	runCtx, cancelRun := context.WithCancel(runBase)
-	defer cancelRun()
-
-	// Stream text output exactly as the interrupted command would have:
-	// replayed results print first, then the live remainder as its
-	// prefix completes — byte-identical to an uninterrupted run.
-	jsonOut := h.JSON
-	emit, emitErr := streamEmitter(&jsonOut, cancelRun, func(r harness.Result) error {
-		switch h.Mode {
-		case "report":
-			return core.WriteResult(stdout, r)
-		case "run":
-			_, werr := io.WriteString(stdout, r.Text)
-			return werr
-		default:
-			return writeSweepResult(stdout, r)
-		}
-	})
-	results, err := ex.Execute(runCtx, jobList, emit)
-	if werr := *emitErr; werr != nil {
-		jf.finish(werr, stderr)
-		return werr
+	fmt.Fprintf(stderr, "hpcc: resuming %s %s: %d of %d job(s) already complete\n", h.Mode, h.Hash, len(done), len(jobList))
+	// The interrupted command's mode and output format come from the
+	// header, so replayed results print first, then the live remainder —
+	// byte-identical to an uninterrupted run.
+	p := pipeline{
+		stack: stack{
+			inner:   inner,
+			cache:   resultCache,
+			journal: &journalFlags{dir: *dir, jnl: j, done: done},
+			grace:   df.grace,
+			budget:  bf,
+		},
+		mode:    h.Mode,
+		jsonOut: h.JSON,
+		store:   &sf,
 	}
-	if err != nil {
-		if persistableErr(err) {
-			sf.persistPrefix(ctx, results, func(i int) harness.Params { return jobList[i].Params }, stderr)
-		}
-		jf.finish(err, stderr)
-		return bf.explain(err)
-	}
-	if jsonOut {
-		// `run -json` prints one object, the portfolio modes an array.
-		if h.Mode == "run" && len(results) == 1 {
-			if err := writeResult(stdout, results[0], true); err != nil {
-				jf.finish(err, stderr)
-				return err
-			}
-		} else if err := writeJSON(stdout, results); err != nil {
-			jf.finish(err, stderr)
-			return err
-		}
-	}
-	jf.finish(nil, stderr)
-	return sf.persistResults(ctx, results, func(i int) harness.Params { return jobList[i].Params }, stderr)
+	return p.run(ctx, jobList, stdout, stderr)
 }
 
 // pickJournal resolves a journal reference (an identity-hash prefix, or

@@ -11,30 +11,34 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/harness"
 	"repro/internal/journal"
 )
 
-// sweepJobs mirrors the job list `hpcc sweep -ids <ids> -quick` builds.
-func sweepJobs(t *testing.T, ids ...string) []harness.Job {
+// quickSweepJobs is the job list `hpcc sweep -ids <ids> -quick` builds.
+func quickSweepJobs(t *testing.T, ids ...string) []harness.Job {
 	t.Helper()
-	var ws []harness.Workload
-	for _, id := range ids {
-		w, err := harness.Lookup(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ws = append(ws, w)
+	jobs, err := sweepJobs(harness.Default, ids, "", "", nil, harness.Params{Quick: true})
+	if err != nil {
+		t.Fatal(err)
 	}
-	return harness.WorkloadJobs(ws, harness.Params{Quick: true})
+	return jobs
 }
 
 // interruptedSweep fabricates the journal a killed `hpcc sweep -ids
 // E1,E3 -quick -journal dir` leaves behind: header plus the first
-// job's checkpoint.
+// nDone jobs' checkpoints.
 func interruptedSweep(t *testing.T, dir string, jobs []harness.Job, nDone int) string {
 	t.Helper()
-	j, err := journal.Create(dir, journalHeader("sweep", jobs, false))
+	return interrupted(t, dir, "sweep", jobs, false, nDone)
+}
+
+// interrupted fabricates the journal a killed command of the given mode
+// leaves behind after checkpointing its first nDone jobs.
+func interrupted(t *testing.T, dir, mode string, jobs []harness.Job, jsonOut bool, nDone int) string {
+	t.Helper()
+	j, err := journal.Create(dir, journalHeader(mode, jobs, jsonOut))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +82,7 @@ func TestSweepJournalCompleteRunRemovesJournal(t *testing.T) {
 
 func TestSweepExistingJournalWithoutResumeRefused(t *testing.T) {
 	dir := t.TempDir()
-	interruptedSweep(t, dir, sweepJobs(t, "E1", "E3"), 1)
+	interruptedSweep(t, dir, quickSweepJobs(t, "E1", "E3"), 1)
 	_, errOut, code := run(t, "sweep", "-ids", "E1,E3", "-quick", "-journal", dir)
 	if code == 0 {
 		t.Fatal("sweep silently appended into an existing journal")
@@ -94,7 +98,7 @@ func TestResumeFinishesInterruptedSweepByteIdentical(t *testing.T) {
 		t.Fatalf("plain sweep exit %d", code)
 	}
 	dir := t.TempDir()
-	interruptedSweep(t, dir, sweepJobs(t, "E1", "E3"), 1)
+	interruptedSweep(t, dir, quickSweepJobs(t, "E1", "E3"), 1)
 
 	got, errOut, code := run(t, "resume", "-journal", dir)
 	if code != 0 {
@@ -112,13 +116,56 @@ func TestResumeFinishesInterruptedSweepByteIdentical(t *testing.T) {
 	}
 }
 
+func TestResumeFinishesInterruptedReportByteIdentical(t *testing.T) {
+	want, _, code := run(t, "report", "-quick")
+	if code != 0 {
+		t.Fatalf("plain report exit %d", code)
+	}
+	prog := core.NewProgram()
+	prog.Quick = true
+	dir := t.TempDir()
+	interrupted(t, dir, "report", prog.ReportJobs(), false, 3)
+	got, errOut, code := run(t, "resume", "-journal", dir)
+	if code != 0 {
+		t.Fatalf("resume exit %d: %s", code, errOut)
+	}
+	if got != want {
+		t.Fatalf("resumed report differs from uninterrupted report:\n%q\n---\n%q", got, want)
+	}
+}
+
+// TestResumeRunJSONByteIdentical resumes a `run -json` journal both
+// before its one job finished and after: either way resume prints the
+// single JSON object `run -json` prints.
+func TestResumeRunJSONByteIdentical(t *testing.T) {
+	want, _, code := run(t, "run", "E3", "-json")
+	if code != 0 {
+		t.Fatalf("plain run exit %d", code)
+	}
+	w, err := harness.Lookup("E3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for nDone := 0; nDone <= 1; nDone++ {
+		dir := t.TempDir()
+		interrupted(t, dir, "run", []harness.Job{{Workload: w}}, true, nDone)
+		got, errOut, code := run(t, "resume", "-journal", dir)
+		if code != 0 {
+			t.Fatalf("resume with %d done: exit %d: %s", nDone, code, errOut)
+		}
+		if got != want {
+			t.Fatalf("resume with %d done differs from run -json:\n%q\n---\n%q", nDone, got, want)
+		}
+	}
+}
+
 func TestSweepResumeFlagContinuesInterrupted(t *testing.T) {
 	want, _, code := run(t, "sweep", "-ids", "E1,E3", "-quick")
 	if code != 0 {
 		t.Fatalf("plain sweep exit %d", code)
 	}
 	dir := t.TempDir()
-	interruptedSweep(t, dir, sweepJobs(t, "E1", "E3"), 1)
+	interruptedSweep(t, dir, quickSweepJobs(t, "E1", "E3"), 1)
 	got, errOut, code := run(t, "sweep", "-ids", "E1,E3", "-quick", "-journal", dir, "-resume")
 	if code != 0 {
 		t.Fatalf("sweep -resume exit %d: %s", code, errOut)
@@ -133,8 +180,8 @@ func TestSweepResumeFlagContinuesInterrupted(t *testing.T) {
 
 func TestResumePicksJournalByHashPrefix(t *testing.T) {
 	dir := t.TempDir()
-	hashA := interruptedSweep(t, dir, sweepJobs(t, "E1", "E3"), 1)
-	interruptedSweep(t, dir, sweepJobs(t, "E1"), 0)
+	hashA := interruptedSweep(t, dir, quickSweepJobs(t, "E1", "E3"), 1)
+	interruptedSweep(t, dir, quickSweepJobs(t, "E1"), 0)
 
 	// Ambiguous: two journals, no ref.
 	_, errOut, code := run(t, "resume", "-journal", dir)
@@ -153,7 +200,7 @@ func TestResumePicksJournalByHashPrefix(t *testing.T) {
 
 func TestResumeRefusesForeignFingerprint(t *testing.T) {
 	dir := t.TempDir()
-	h := journalHeader("sweep", sweepJobs(t, "E1"), false)
+	h := journalHeader("sweep", quickSweepJobs(t, "E1"), false)
 	h.Fingerprint = "00000000deadbeef" // a binary this process is not
 	j, err := journal.Create(dir, h)
 	if err != nil {

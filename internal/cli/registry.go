@@ -10,7 +10,6 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/harness"
 	"repro/internal/report"
@@ -107,160 +106,39 @@ func cmdReport(ctx context.Context, args []string, stdout, stderr io.Writer) err
 		return err
 	}
 
-	reportParams := harness.Params{Quick: *quick}
 	prog := core.NewProgram()
 	prog.Quick = *quick
+	p := pipeline{
+		stack:   stack{cache: resultCache, journal: &jf, grace: df.grace, budget: bf},
+		mode:    "report",
+		jsonOut: *jsonOut,
+		store:   &sf,
+	}
+	jobList := prog.ReportJobs()
 	if *exp != "" {
+		// One exhibit prints as `run` would: its bare text, or one JSON
+		// object.
 		w, err := prog.ExperimentWorkload(*exp)
 		if err != nil {
 			return err
 		}
-		ctx, cancelBudget := bf.apply(ctx)
-		defer cancelBudget()
-		res, err := runSingle(ctx, &jf, resultCache, w, reportParams, *jsonOut, stderr)
-		if err != nil {
-			return bf.explain(err)
-		}
-		if err := writeResult(stdout, res, *jsonOut); err != nil {
-			return err
-		}
-		return sf.persist(ctx, []store.Entry{{Params: reportParams, Result: res}}, stderr)
-	}
-	// The signal context drives the executor's drain channel directly:
-	// a SIGINT/SIGTERM stops dispatch at once while in-flight exhibits
-	// finish under the -drain grace; -budget layers on top so an expiry
-	// cancels outright and surfaces as DeadlineExceeded.
-	ex, err := newExecutor(*shards, *jobs, *remote, tf.token, ctx.Done(), stderr)
-	if err != nil {
+		p.mode, p.inner = "run", harness.LocalExecutor{Workers: 1}
+		jobList = []harness.Job{{Workload: w, Params: harness.Params{Quick: *quick}}}
+	} else if p.inner, err = newExecutor(*shards, *jobs, *remote, tf.token, ctx.Done(), stderr); err != nil {
 		return err
 	}
-	headerJobs, err := reportJobs(prog, reportParams)
-	if err != nil {
-		return err
-	}
-	done, err := jf.open("report", headerJobs, *jsonOut, stderr)
-	if err != nil {
-		return err
-	}
-	ex = jf.wrap(wrapExecutor(ex, resultCache), done)
-	jobCtx, stopGrace := df.wrap(ctx)
-	defer stopGrace()
-	runBase, cancelBudget := bf.apply(jobCtx)
-	defer cancelBudget()
-	// Text output streams: each exhibit prints as soon as every exhibit
-	// before it has finished, so long reports show progress. The bytes
-	// are identical to the old print-at-the-end path.
-	runCtx, cancelRun := context.WithCancel(runBase)
-	defer cancelRun()
-	emit, emitErr := streamEmitter(jsonOut, cancelRun, func(r harness.Result) error {
-		return core.WriteResult(stdout, r)
-	})
-	results, err := prog.ReportResultsExec(runCtx, ex, emit)
-	if werr := *emitErr; werr != nil {
-		jf.finish(werr, stderr)
-		return werr
-	}
-	if err != nil {
-		if persistableErr(err) {
-			sf.persistPrefix(ctx, results, func(int) harness.Params { return reportParams }, stderr)
-		}
-		jf.finish(err, stderr)
-		return bf.explain(err)
-	}
-	if *jsonOut {
-		if err := writeJSON(stdout, results); err != nil {
-			jf.finish(err, stderr)
-			return err
-		}
-	}
-	jf.finish(nil, stderr)
-	return sf.persistResults(ctx, results, func(int) harness.Params { return reportParams }, stderr)
+	return p.run(ctx, jobList, stdout, stderr)
 }
 
-// reportJobs mirrors the job list ReportResultsExec builds (same
-// exhibits, same paper order, same params) so the journal header can
-// record the report's identity without running anything.
-func reportJobs(prog *core.Program, params harness.Params) ([]harness.Job, error) {
-	exps := prog.Experiments()
-	jobs := make([]harness.Job, len(exps))
-	for i, e := range exps {
-		w, err := prog.ExperimentWorkload(e.ID)
-		if err != nil {
-			return nil, err
-		}
-		jobs[i] = harness.Job{Workload: w, Params: params}
-	}
-	return jobs, nil
-}
-
-// runSingle runs one workload the way run and report -e do — but when
-// -journal is set, it routes through the single-job executor stack so
-// the result checkpoints and a completed journal replays without
-// rerunning. Without -journal it is exactly the old runCached path.
-func runSingle(ctx context.Context, jf *journalFlags, resultCache *cache.Cache, w harness.Workload, params harness.Params, jsonOut bool, stderr io.Writer) (harness.Result, error) {
-	if jf.dir == "" {
-		return runCached(ctx, resultCache, w, params, stderr)
-	}
-	jobList := []harness.Job{{Workload: w, Params: params}}
-	done, err := jf.open("run", jobList, jsonOut, stderr)
-	if err != nil {
-		return harness.Result{}, err
-	}
-	ex := jf.wrap(wrapExecutor(harness.LocalExecutor{Workers: 1}, resultCache), done)
-	results, err := ex.Execute(ctx, jobList, nil)
-	jf.finish(err, stderr)
-	if err != nil {
-		return harness.Result{}, err
-	}
-	return results[0], nil
-}
-
-// streamEmitter adapts a per-result writer into an Executor emit
-// callback for text output (JSON callers need the whole slice, so they
-// get a nil emit and print at the end). Emit itself cannot fail the
-// executor, so the first write error cancels the run via cancelRun —
-// there is no point computing results whose output can never be
-// delivered — and lands in the returned pointer, which the caller must
-// check before the executor's error (the cancellation is a symptom).
-func streamEmitter(jsonOut *bool, cancelRun context.CancelFunc, write func(harness.Result) error) (func(int, harness.Result), *error) {
-	errp := new(error)
-	if *jsonOut {
-		return nil, errp
-	}
-	return func(_ int, r harness.Result) {
-		if *errp == nil {
-			if *errp = write(r); *errp != nil {
-				cancelRun()
-			}
-		}
-	}, errp
-}
-
-// writeResult renders one result to w as JSON or text. Callers print
-// before persisting so a store failure never discards a result the run
-// already produced.
-func writeResult(w io.Writer, res harness.Result, jsonOut bool) error {
-	if jsonOut {
-		s, err := res.JSON()
-		if err != nil {
-			return err
-		}
-		_, err = io.WriteString(w, s)
-		return err
-	}
-	_, err := io.WriteString(w, res.Text)
-	return err
-}
-
-// persistResults pairs each result with its params (by index) and
+// persistResults pairs each result with its job's params (by index) and
 // appends them as one snapshot; a no-op without -store.
-func (sf *storeFlags) persistResults(ctx context.Context, results []harness.Result, params func(int) harness.Params, stderr io.Writer) error {
+func (sf *storeFlags) persistResults(ctx context.Context, jobs []harness.Job, results []harness.Result, stderr io.Writer) error {
 	if sf.dir == "" {
 		return nil
 	}
 	entries := make([]store.Entry, len(results))
 	for i, r := range results {
-		entries[i] = store.Entry{Params: params(i), Result: r}
+		entries[i] = store.Entry{Params: jobs[i].Params, Result: r}
 	}
 	return sf.persist(ctx, entries, stderr)
 }
@@ -334,8 +212,6 @@ func cmdRun(ctx context.Context, args []string, stdout, stderr io.Writer) error 
 	if err != nil {
 		return err
 	}
-	ctx, cancelBudget := bf.apply(ctx)
-	defer cancelBudget()
 	switch {
 	case id == "" && fs.NArg() == 1:
 		id = fs.Arg(0)
@@ -348,15 +224,14 @@ func cmdRun(ctx context.Context, args []string, stdout, stderr io.Writer) error 
 	if err != nil {
 		return err
 	}
+	p := pipeline{
+		stack:   stack{inner: harness.LocalExecutor{Workers: 1}, cache: resultCache, journal: &jf, budget: bf},
+		mode:    "run",
+		jsonOut: *jsonOut,
+		store:   &sf,
+	}
 	params := harness.Params{Quick: *quick, Seed: *seed, Values: overrides.vals}
-	res, err := runSingle(ctx, &jf, resultCache, w, params, *jsonOut, stderr)
-	if err != nil {
-		return bf.explain(err)
-	}
-	if err := writeResult(stdout, res, *jsonOut); err != nil {
-		return err
-	}
-	return sf.persist(ctx, []store.Entry{{Params: params, Result: res}}, stderr)
+	return p.run(ctx, []harness.Job{{Workload: w, Params: params}}, stdout, stderr)
 }
 
 func cmdSweep(ctx context.Context, args []string, stdout, stderr io.Writer) error {
@@ -411,125 +286,33 @@ func cmdSweep(ctx context.Context, args []string, stdout, stderr io.Writer) erro
 		return errors.New("sweep: want at most one positional workload ID")
 	}
 
-	base := harness.Params{Quick: *quick, Seed: *seed, Values: overrides.vals}
-
-	var jobList []harness.Job
-	switch {
-	case *param != "":
-		// One workload, many points: hpcc sweep linpack/delta -param nb -values 4,8,16
-		if id == "" {
-			return errors.New("sweep: -param needs exactly one positional workload ID")
+	var idList, vals []string
+	if *ids != "" {
+		for _, s := range strings.Split(*ids, ",") {
+			idList = append(idList, strings.TrimSpace(s))
 		}
-		if *values == "" {
-			return errors.New("sweep: -param needs -values v1,v2,...")
-		}
-		w, lerr := harness.Lookup(id)
-		if lerr != nil {
-			return lerr
-		}
-		vals, verr := splitValues(*values)
-		if verr != nil {
-			return verr
-		}
-		jobList = harness.ValueJobs(w, base, *param, vals)
-	case id != "":
-		return errors.New("sweep: a positional workload ID needs -param/-values; use -ids for a portfolio")
-	default:
-		var ws []harness.Workload
-		if *ids == "" {
-			ws = harness.All()
-		} else {
-			for _, id := range strings.Split(*ids, ",") {
-				w, lerr := harness.Lookup(strings.TrimSpace(id))
-				if lerr != nil {
-					return lerr
-				}
-				ws = append(ws, w)
-			}
-		}
-		jobList = harness.WorkloadJobs(ws, base)
 	}
-
-	// The signal context drives the executor's drain channel directly:
-	// a SIGINT/SIGTERM stops dispatch at once, while jobs run under the
-	// drained jobCtx that outlives the signal by the -drain grace. The
-	// -budget deadline layers on top so an expiry cancels jobs outright
-	// (it must surface as DeadlineExceeded, not a drain).
-	ex, err := newExecutor(*shards, *jobs, *remote, tf.token, ctx.Done(), stderr)
-	if err != nil {
-		return err
-	}
-	done, err := jf.open("sweep", jobList, *jsonOut, stderr)
-	if err != nil {
-		return err
-	}
-	ex = jf.wrap(wrapExecutor(ex, resultCache), done)
-	jobCtx, stopGrace := df.wrap(ctx)
-	defer stopGrace()
-	runBase, cancelBudget := bf.apply(jobCtx)
-	defer cancelBudget()
-	// Text output streams: each point prints as soon as every point
-	// before it has finished, so huge sweeps show progress; the bytes
-	// are identical to the old print-at-the-end path. Printing precedes
-	// persisting either way: a store failure must not discard results
-	// the sweep already produced.
-	runCtx, cancelRun := context.WithCancel(runBase)
-	defer cancelRun()
-	emit, emitErr := streamEmitter(jsonOut, cancelRun, func(r harness.Result) error {
-		return writeSweepResult(stdout, r)
-	})
-	results, err := ex.Execute(runCtx, jobList, emit)
-	if werr := *emitErr; werr != nil {
-		jf.finish(werr, stderr)
-		return werr
-	}
-	if err != nil {
-		// An interrupted or budget-expired sweep still persists its
-		// completed prefix — that is the whole point of crash safety —
-		// and the kept journal prints the resume command.
-		if persistableErr(err) {
-			sf.persistPrefix(ctx, results, func(i int) harness.Params { return jobList[i].Params }, stderr)
-		}
-		jf.finish(err, stderr)
-		return bf.explain(err)
-	}
-	if *jsonOut {
-		if err := writeJSON(stdout, results); err != nil {
-			jf.finish(err, stderr)
+	if *values != "" {
+		if vals, err = splitValues(*values); err != nil {
 			return err
 		}
 	}
-	jf.finish(nil, stderr)
-	// jobList mirrors the per-result parameters so persisted records
-	// carry the exact point each result ran at.
-	return sf.persistResults(ctx, results, func(i int) harness.Params { return jobList[i].Params }, stderr)
-}
-
-// writeSweepResult renders one sweep point in the sweep's text format.
-func writeSweepResult(w io.Writer, r harness.Result) error {
-	var err error
-	if r.Title != "" {
-		_, err = fmt.Fprintf(w, "=== %s: %s ===\n\n%s\n", r.WorkloadID, r.Title, r.Text)
-	} else {
-		_, err = fmt.Fprintf(w, "=== %s ===\n\n%s\n", r.WorkloadID, r.Text)
+	base := harness.Params{Quick: *quick, Seed: *seed, Values: overrides.vals}
+	jobList, err := sweepJobs(harness.Default, idList, id, *param, vals, base)
+	if err != nil {
+		return err
 	}
-	return err
-}
-
-// splitValues parses a -values list: comma-separated, each entry
-// whitespace-trimmed (so "4, 8, 16" works like -ids does), empty entries
-// rejected rather than silently swept as bogus parameter values.
-func splitValues(s string) ([]string, error) {
-	parts := strings.Split(s, ",")
-	out := make([]string, 0, len(parts))
-	for _, v := range parts {
-		v = strings.TrimSpace(v)
-		if v == "" {
-			return nil, fmt.Errorf("sweep: empty value in -values %q", s)
-		}
-		out = append(out, v)
+	inner, err := newExecutor(*shards, *jobs, *remote, tf.token, ctx.Done(), stderr)
+	if err != nil {
+		return err
 	}
-	return out, nil
+	p := pipeline{
+		stack:   stack{inner: inner, cache: resultCache, journal: &jf, grace: df.grace, budget: bf},
+		mode:    "sweep",
+		jsonOut: *jsonOut,
+		store:   &sf,
+	}
+	return p.run(ctx, jobList, stdout, stderr)
 }
 
 // writeJSON emits v as indented JSON terminated by a newline.

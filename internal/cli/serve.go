@@ -193,16 +193,6 @@ func (s *server) acquire(ctx context.Context) (release func(), err error) {
 	return s.admit.acquire(ctx)
 }
 
-// computeCtx layers the per-request -budget deadline onto a request
-// context. The deadline is applied after admission, so time spent
-// queued does not eat the budget.
-func (s *server) computeCtx(ctx context.Context) (context.Context, context.CancelFunc) {
-	if s.budget <= 0 {
-		return ctx, func() {}
-	}
-	return context.WithTimeout(ctx, s.budget)
-}
-
 // computeError answers a failed compute request with the right status:
 // 429 + Retry-After when admission bounced it, 503 when it was cancelled
 // or timed out while queued or running, 500 otherwise.
@@ -319,19 +309,15 @@ func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
 				return runOutcome{res, "hit"}, nil
 			}
 		}
-		release, err := s.acquire(r.Context())
+		// One job needs no fleet: it runs in process, as `hpcc run` does.
+		results, _, err := s.execute(r.Context(), harness.LocalExecutor{Workers: 1}, []harness.Job{{Workload: wl, Params: params}})
 		if err != nil {
 			return nil, err
 		}
-		defer release()
-		ctx, cancel := s.computeCtx(r.Context())
-		defer cancel()
 		if s.cache == nil {
-			res, err := runCached(ctx, nil, wl, params, s.stderr)
-			return runOutcome{res, "bypass"}, err
+			return runOutcome{results[0], "bypass"}, nil
 		}
-		res, err := runCached(ctx, s.cache, wl, params, s.stderr)
-		return runOutcome{res, "miss"}, err
+		return runOutcome{results[0], "miss"}, nil
 	})
 	if err != nil {
 		computeError(w, err, "run %s: %v", req.ID, err)
@@ -355,40 +341,16 @@ func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
-	base := harness.Params{Quick: req.Quick, Seed: req.Seed}
-	var jobList []harness.Job
-	switch {
-	case req.Param != "":
-		if req.ID == "" || len(req.Values) == 0 {
-			httpError(w, http.StatusBadRequest, "a param sweep needs id, param and values")
-			return
-		}
-		wl, err := s.registry().Lookup(req.ID)
-		if err != nil {
-			httpError(w, http.StatusNotFound, "%v", err)
-			return
-		}
-		jobList = harness.ValueJobs(wl, base, req.Param, req.Values)
-	case req.ID != "":
-		httpError(w, http.StatusBadRequest, "id without param/values; use ids for a portfolio")
+	jobList, err := sweepJobs(s.registry(), req.IDs, req.ID, req.Param, req.Values, harness.Params{Quick: req.Quick, Seed: req.Seed})
+	if errors.Is(err, errBadSweep) {
+		httpError(w, http.StatusBadRequest, "%v", err)
 		return
-	default:
-		var ws []harness.Workload
-		if len(req.IDs) == 0 {
-			ws = s.registry().All()
-		} else {
-			for _, id := range req.IDs {
-				wl, err := s.registry().Lookup(id)
-				if err != nil {
-					httpError(w, http.StatusNotFound, "%v", err)
-					return
-				}
-				ws = append(ws, wl)
-			}
-		}
-		jobList = harness.WorkloadJobs(ws, base)
 	}
-	results, cacheNote, err := s.execute(r.Context(), jobList)
+	if err != nil {
+		httpError(w, http.StatusNotFound, "%v", err)
+		return
+	}
+	results, cacheNote, err := s.execute(r.Context(), nil, jobList)
 	if err != nil {
 		computeError(w, err, "sweep: %v", err)
 		return
@@ -401,20 +363,9 @@ func (s *server) handleReport(w http.ResponseWriter, r *http.Request) {
 	quick := r.URL.Query().Get("quick") != ""
 	// Reports are heavy and parameterless beyond quick: coalesce them.
 	v, _, err := s.flight.Do("report\x00"+strconv.FormatBool(quick), func() (any, error) {
-		release, err := s.acquire(r.Context())
-		if err != nil {
-			return nil, err
-		}
-		defer release()
-		ctx, cancel := s.computeCtx(r.Context())
-		defer cancel()
 		prog := core.NewProgram()
 		prog.Quick = quick
-		ex, err := s.newExec()
-		if err != nil {
-			return nil, err
-		}
-		results, err := prog.ReportResultsExec(ctx, wrapExecutor(ex, s.cache), nil)
+		results, _, err := s.execute(r.Context(), nil, prog.ReportJobs())
 		return results, err
 	})
 	if err != nil {
@@ -465,27 +416,26 @@ func (s *server) handleTrend(w http.ResponseWriter, r *http.Request) {
 	writeJSONResponse(w, points)
 }
 
-// execute runs one request's job list on a fresh executor, cache-fronted
-// when serve has a cache, and reports the hit/miss tally for the
-// response header. It passes through admission and the per-request
-// budget first: sweeps are the heaviest endpoint.
-func (s *server) execute(ctx context.Context, jobList []harness.Job) ([]harness.Result, string, error) {
+// execute runs one request's job list through the stack on inner (nil:
+// a fresh executor from newExec), cache-fronted when serve has a cache,
+// and reports the hit/miss tally for the response header. It passes
+// through admission first, and the per-request budget starts after it,
+// so time spent queued does not eat the budget.
+func (s *server) execute(ctx context.Context, inner harness.Executor, jobList []harness.Job) ([]harness.Result, string, error) {
 	release, err := s.acquire(ctx)
 	if err != nil {
 		return nil, "", err
 	}
 	defer release()
-	ctx, cancel := s.computeCtx(ctx)
-	defer cancel()
-	ex, err := s.newExec()
-	if err != nil {
-		return nil, "", err
+	if inner == nil {
+		if inner, err = s.newExec(); err != nil {
+			return nil, "", err
+		}
 	}
+	st := stack{inner: inner, cache: s.cache, budget: budgetFlags{d: s.budget}}
+	results, err := st.execute(ctx, jobList, nil)
 	if s.cache == nil {
-		results, err := ex.Execute(ctx, jobList, nil)
 		return results, "bypass", err
 	}
-	ce := &harness.CachingExecutor{Inner: ex, Cache: s.cache}
-	results, err := ce.Execute(ctx, jobList, nil)
-	return results, fmt.Sprintf("hits=%d misses=%d", ce.Hits, ce.Misses), err
+	return results, fmt.Sprintf("hits=%d misses=%d", st.hits, st.misses), err
 }

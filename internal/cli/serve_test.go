@@ -224,6 +224,37 @@ func TestServeRunWorkloadErrorIs500(t *testing.T) {
 	}
 }
 
+// TestServeRunPanickingWorkloadIs500 pins panic containment on /run: a
+// panicking workload answers 500, and does so again on a repeat request
+// instead of leaving the coalescing flight wedged on its key.
+func TestServeRunPanickingWorkloadIs500(t *testing.T) {
+	reg := harness.NewRegistry()
+	if err := reg.Register(harness.Spec{
+		WorkloadID: "srv/panic",
+		Desc:       "always panics",
+		Version:    "v1",
+		RunFunc: func(context.Context, harness.Params) (harness.Result, error) {
+			panic("deliberate panic")
+		},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer((&server{reg: reg, stderr: io.Discard}).handler())
+	t.Cleanup(ts.Close)
+	client := &http.Client{Timeout: 5 * time.Second}
+	for i := 0; i < 2; i++ {
+		resp, err := client.Post(ts.URL+"/api/v1/run", "application/json", strings.NewReader(`{"id":"srv/panic"}`))
+		if err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusInternalServerError || !strings.Contains(string(body), "workload panicked") {
+			t.Fatalf("request %d: status %d, body %s; want 500 naming the panic", i, resp.StatusCode, body)
+		}
+	}
+}
+
 func TestServeRunWrongMethodIs405(t *testing.T) {
 	ts, _ := serveTestServer(t, "", "")
 	resp, _ := getURL(t, ts.URL+"/api/v1/run")

@@ -67,7 +67,7 @@ type Experiment struct {
 	ID    string
 	Title string
 	Paper string // what the paper reports
-	Run   func(p *Program) (string, error)
+	Run   func(ctx context.Context, p *Program) (string, error)
 }
 
 // exhibitVersion is the exhibits' cache version (harness.Versioned): an
@@ -84,7 +84,7 @@ type exhibit struct {
 	id    string
 	title string
 	paper string
-	run   func(p *Program) (string, error)
+	run   func(ctx context.Context, p *Program) (string, error)
 }
 
 // exhibits lists every paper exhibit in paper order. The init function
@@ -159,19 +159,20 @@ func (e exhibit) ParamSpace() []harness.Param { return nil }
 func (e exhibit) WorkloadVersion() string { return exhibitVersion }
 
 // Run implements harness.Workload against a fresh default Program. The
-// ctx check covers cancellation between exhibits; the simulations
-// themselves run to completion once started.
+// ctx check covers cancellation between exhibits; the simulating
+// exhibits (E4, E6, E7) also hand ctx to their event loops, so a
+// deadline stops them mid-run.
 func (e exhibit) Run(ctx context.Context, p harness.Params) (harness.Result, error) {
 	if err := ctx.Err(); err != nil {
 		return harness.Result{}, err
 	}
 	prog := NewProgram()
 	prog.Quick = p.Quick
-	return e.runWith(prog)
+	return e.runWith(ctx, prog)
 }
 
-func (e exhibit) runWith(p *Program) (harness.Result, error) {
-	text, err := e.run(p)
+func (e exhibit) runWith(ctx context.Context, p *Program) (harness.Result, error) {
+	text, err := e.run(ctx, p)
 	if err != nil {
 		return harness.Result{}, err
 	}
@@ -199,7 +200,7 @@ func (b boundExhibit) Run(ctx context.Context, _ harness.Params) (harness.Result
 	if err := ctx.Err(); err != nil {
 		return harness.Result{}, err
 	}
-	return b.runWith(b.prog)
+	return b.runWith(ctx, b.prog)
 }
 
 // Experiments returns all exhibits in paper order, backed by the same
@@ -228,7 +229,7 @@ func (p *Program) ExperimentResult(id string) (harness.Result, error) {
 	if err != nil {
 		return harness.Result{}, err
 	}
-	return e.runWith(p)
+	return e.runWith(context.Background(), p)
 }
 
 // ExperimentWorkload returns one exhibit as a harness.Workload bound to
@@ -284,11 +285,7 @@ func (p *Program) ReportResults(ctx context.Context, workers int) ([]harness.Res
 // Budget or Agencies would share entries with the default Program and
 // must not run through a cache.
 func (p *Program) ReportResultsExec(ctx context.Context, ex harness.Executor, emit func(int, harness.Result)) ([]harness.Result, error) {
-	jobs := make([]harness.Job, len(exhibits))
-	for i, e := range exhibits {
-		jobs[i] = harness.Job{Workload: e.bind(p), Params: harness.Params{Quick: p.Quick}}
-	}
-	results, err := ex.Execute(ctx, jobs, emit)
+	results, err := ex.Execute(ctx, p.ReportJobs(), emit)
 	if err != nil {
 		// The completed prefix travels with the error (the Executor
 		// contract), so an interrupted report can still persist or
@@ -300,6 +297,17 @@ func (p *Program) ReportResultsExec(ctx context.Context, ex harness.Executor, em
 		return results, fmt.Errorf("core: report: %w", err)
 	}
 	return results, nil
+}
+
+// ReportJobs is the report's job list: every exhibit bound to p, in
+// paper order, each with Params{Quick: p.Quick}. ReportResultsExec runs
+// exactly these jobs; the same caveats about customized Programs apply.
+func (p *Program) ReportJobs() []harness.Job {
+	jobs := make([]harness.Job, len(exhibits))
+	for i, e := range exhibits {
+		jobs[i] = harness.Job{Workload: e.bind(p), Params: harness.Params{Quick: p.Quick}}
+	}
+	return jobs
 }
 
 // WriteReportJobs regenerates every exhibit into w using `workers`
@@ -334,15 +342,15 @@ func WriteResult(w io.Writer, r harness.Result) error {
 	return err
 }
 
-func runE1(*Program) (string, error) {
+func runE1(context.Context, *Program) (string, error) {
 	return funding.Table().Render() + "\n" + funding.GrowthTable().Render(), nil
 }
 
-func runE2(*Program) (string, error) {
+func runE2(context.Context, *Program) (string, error) {
 	return agency.Matrix().Render(), nil
 }
 
-func runE3(p *Program) (string, error) {
+func runE3(_ context.Context, p *Program) (string, error) {
 	t := report.NewTable("Concurrent Supercomputer Consortium: Intel Touchstone Delta",
 		"Property", "Value")
 	t.AddRow("Numeric processors", report.Cellf("%d", p.Machine.Nodes()))
@@ -366,8 +374,9 @@ func (p *Program) DeltaLinpack() linpack.Config {
 	return cfg
 }
 
-func runE4(p *Program) (string, error) {
+func runE4(ctx context.Context, p *Program) (string, error) {
 	cfg := p.DeltaLinpack()
+	cfg.Ctx = ctx
 	out, err := linpack.Run(cfg)
 	if err != nil {
 		return "", err
@@ -384,7 +393,7 @@ func runE4(p *Program) (string, error) {
 	return t.Render(), nil
 }
 
-func runE5(p *Program) (string, error) {
+func runE5(_ context.Context, p *Program) (string, error) {
 	classTbl, err := nren.LinkClassTable(10e6)
 	if err != nil {
 		return "", err
@@ -413,13 +422,13 @@ func (p *Program) scalingProcs() []int {
 	return []int{1, 4, 16, 66, 264, 528}
 }
 
-func runE6(p *Program) (string, error) {
+func runE6(ctx context.Context, p *Program) (string, error) {
 	grid := 1056
 	iters := 20
 	if p.Quick {
 		grid, iters = 256, 5
 	}
-	pts, err := stencil.StrongScaling(p.Machine, grid, grid, iters, p.scalingProcs())
+	pts, err := stencil.StrongScaling(ctx, p.Machine, grid, grid, iters, p.scalingProcs())
 	if err != nil {
 		return "", err
 	}
@@ -433,7 +442,7 @@ func runE6(p *Program) (string, error) {
 	return t.Render(), nil
 }
 
-func runE7(p *Program) (string, error) {
+func runE7(ctx context.Context, p *Program) (string, error) {
 	grid := 1056
 	steps := 20
 	if p.Quick {
@@ -447,7 +456,7 @@ func runE7(p *Program) (string, error) {
 	for i, procs := range p.scalingProcs() {
 		out, err := shallow.RunDistributed(shallow.Config{
 			NX: grid, NY: grid, Steps: steps, Procs: procs,
-			Params: params, Model: p.Machine, Phantom: true,
+			Params: params, Model: p.Machine, Phantom: true, Ctx: ctx,
 		})
 		if err != nil {
 			return "", err
