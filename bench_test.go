@@ -89,7 +89,9 @@ func BenchmarkE3DeltaPeak(b *testing.B) {
 
 // BenchmarkE4LinpackDelta runs the paper's headline experiment: LINPACK of
 // order 25,000 on the 528-node Delta model (paper: 13 GFLOPS). One
-// iteration simulates the full factorization (~3s host time).
+// iteration simulates the full factorization (~3s host time). Under
+// `go test -tags hpcctree` it runs on the tree collective path instead;
+// the ratio of the two is the fused engine's speedup.
 func BenchmarkE4LinpackDelta(b *testing.B) {
 	cfg := linpack.Config{
 		N: 25000, NB: 16, GridRows: 16, GridCols: 33,
@@ -107,28 +109,6 @@ func BenchmarkE4LinpackDelta(b *testing.B) {
 	b.ReportMetric(eff*100, "efficiency-%")
 	b.ReportMetric(vtime, "simulated-s")
 	b.ReportMetric(linpack.PredictGFlops(cfg), "model-GFLOPS")
-}
-
-// BenchmarkE4LinpackDeltaTreeCollectives is BenchmarkE4LinpackDelta on
-// the legacy tree-message collective path: the ratio against the fused
-// default is the fused engine's speedup, tracked in BENCH_report.json.
-func BenchmarkE4LinpackDeltaTreeCollectives(b *testing.B) {
-	prev := nx.DefaultCollectives()
-	nx.SetDefaultCollectives(nx.CollectivesTree)
-	defer nx.SetDefaultCollectives(prev)
-	cfg := linpack.Config{
-		N: 25000, NB: 16, GridRows: 16, GridCols: 33,
-		Model: machine.Delta(), Phantom: true, Seed: 1992,
-	}
-	var vtime float64
-	for i := 0; i < b.N; i++ {
-		out, err := linpack.Run(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		vtime = out.FactTime
-	}
-	b.ReportMetric(vtime, "simulated-s")
 }
 
 // BenchmarkE5ConsortiumNetwork reproduces the network figure: a 10 MB

@@ -35,7 +35,7 @@ import (
 // LockOrder is the hpcclock analyzer.
 var LockOrder = &Analyzer{
 	Name: "hpcclock",
-	Doc:  "flag double engine-lock acquisition and mixed atomic/non-atomic field access",
+	Doc:  "flag double same-type lock acquisition and mixed atomic/non-atomic field access",
 	Run:  runLockOrder,
 }
 
@@ -236,7 +236,7 @@ func checkLocks(pass *Pass, body *ast.BlockStmt, sums map[*types.Func]*funcSumma
 						}
 						for _, h := range held {
 							if h.owner == site.owner {
-								pass.Reportf(n.Pos(), "second %s lock (%s) acquired while %s is held: the engine contract is one lock at a time — unlock before relocking", site.owner.Name(), site.expr, h.expr)
+								pass.Reportf(n.Pos(), "second %s lock (%s) acquired while %s is held: the contract is one lock of a type at a time — unlock before relocking", site.owner.Name(), site.expr, h.expr)
 							}
 						}
 						held[site.expr] = site
@@ -261,7 +261,7 @@ func checkLocks(pass *Pass, body *ast.BlockStmt, sums map[*types.Func]*funcSumma
 					}
 					for _, h := range held {
 						if s.mayLock[h.owner] {
-							pass.Reportf(n.Pos(), "call to %s may acquire a second %s lock while %s is held: release the engine lock before the call", callee.Name(), h.owner.Name(), h.expr)
+							pass.Reportf(n.Pos(), "call to %s may acquire a second %s lock while %s is held: release %s before the call", callee.Name(), h.owner.Name(), h.expr, h.expr)
 							break
 						}
 					}

@@ -1,6 +1,8 @@
 // Package lockorder is the hpcclock analysistest fixture. The shard
-// type mirrors internal/nx's engineShard: one mutex per shard, with the
-// contract that no flow ever holds two shard locks at once.
+// type stands for any struct that owns a mutex and has many instances
+// (the harness's assembler, remoteSweep and lockedWriter, the result
+// cache's Flight): no flow ever holds two locks of the same owner type
+// at once.
 package lockorder
 
 import (

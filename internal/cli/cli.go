@@ -34,6 +34,7 @@ package cli
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"strings"
@@ -93,6 +94,9 @@ func MainContext(ctx context.Context, args []string, stdout, stderr io.Writer) i
 		if c.name == name {
 			if err := c.run(ctx, args[1:], stdout, stderr); err != nil {
 				fmt.Fprintln(stderr, "hpcc:", err)
+				if errors.As(err, new(usageError)) {
+					return 2
+				}
 				return 1
 			}
 			return 0

@@ -19,7 +19,6 @@ import (
 
 	"repro/internal/harness"
 	"repro/internal/journal"
-	"repro/internal/nx"
 )
 
 // journalFlags carries the crash-safety flags common to run, sweep and
@@ -47,8 +46,7 @@ func (jf *journalFlags) validate() error {
 
 // journalHeader snapshots the identity of one invocation: the job list
 // plus every knob that affects the bytes a job computes. The registry
-// fingerprint and the nx collective mode are read from
-// the live process, so apply() calls must precede this.
+// fingerprint is read from the live process.
 func journalHeader(mode string, jobs []harness.Job, jsonOut bool) journal.Header {
 	hj := make([]journal.Job, len(jobs))
 	for i, j := range jobs {
@@ -61,7 +59,6 @@ func journalHeader(mode string, jobs []harness.Job, jsonOut bool) journal.Header
 	return journal.Header{
 		Mode:        mode,
 		Fingerprint: harness.Default.Fingerprint(),
-		Collectives: nx.DefaultCollectives().String(),
 		JSON:        jsonOut,
 		Jobs:        hj,
 		Time:        time.Now().UTC(),
@@ -221,12 +218,6 @@ func cmdResume(ctx context.Context, args []string, stdout, stderr io.Writer) err
 		j.Close()
 		return fmt.Errorf("%w: journal %s was written by registry fingerprint %s, this binary is %s (results would not be comparable; rerun instead of resuming)",
 			journal.ErrIdentityMismatch, path, h.Fingerprint, fp)
-	}
-	// Re-apply the collective mode the interrupted invocation ran
-	// under, so the remainder computes identical bytes.
-	if err := (&collectivesFlags{mode: h.Collectives}).apply(); err != nil {
-		j.Close()
-		return err
 	}
 	jobList := make([]harness.Job, len(h.Jobs))
 	for i, hj := range h.Jobs {

@@ -7,6 +7,7 @@ package cli
 
 import (
 	"context"
+	"fmt"
 	"os"
 	"strings"
 	"testing"
@@ -218,28 +219,39 @@ func TestResumeRefusesForeignFingerprint(t *testing.T) {
 	}
 }
 
-// TestResumeRefusesSchema1Journal: a journal the schema-1 binary left
-// behind (its header still carries the engine shard count) must fail
-// resume with the schema error and a rerun hint, not replay or report a
-// hash mismatch.
-func TestResumeRefusesSchema1Journal(t *testing.T) {
+// assertResumeRefusesOldJournal writes header, an old binary's journal
+// header line, and demands that resume fail with the schema error and a
+// rerun hint — not replay, and not report a hash mismatch.
+func assertResumeRefusesOldJournal(t *testing.T, header string, schema int) {
+	t.Helper()
 	dir := t.TempDir()
-	const header = `{"journal":1,"hash":"9efe483ee4461ab3","mode":"sweep","fingerprint":"05fa47753e0609c6","collectives":"fused","sim_shards":1,"jobs":[{"workload_id":"E1","params":{"quick":true}}],"time":"2026-10-01T12:00:00Z"}`
-	if err := os.WriteFile(journal.Path(dir, "9efe483ee4461ab3"), []byte(header+"\n"), 0o644); err != nil {
+	if err := os.WriteFile(journal.Path(dir, "0123456789abcdef"), []byte(header+"\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	out, errOut, code := run(t, "resume", "-journal", dir)
 	if code == 0 || out != "" {
-		t.Fatalf("schema-1 journal resumed: exit %d, stdout %q", code, out)
+		t.Fatalf("schema-%d journal resumed: exit %d, stdout %q", schema, code, out)
 	}
 	if strings.Contains(errOut, "identity mismatch") {
-		t.Fatalf("schema-1 journal reported as identity mismatch: %q", errOut)
+		t.Fatalf("schema-%d journal reported as identity mismatch: %q", schema, errOut)
 	}
-	for _, want := range []string{"schema 1", "rerun"} {
+	for _, want := range []string{fmt.Sprintf("schema %d", schema), "rerun"} {
 		if !strings.Contains(errOut, want) {
 			t.Fatalf("refusal missing %q: %q", want, errOut)
 		}
 	}
+}
+
+// TestResumeRefusesSchema1Journal: the schema-1 binary's header still
+// carries the engine shard count.
+func TestResumeRefusesSchema1Journal(t *testing.T) {
+	assertResumeRefusesOldJournal(t, `{"journal":1,"hash":"9efe483ee4461ab3","mode":"sweep","fingerprint":"05fa47753e0609c6","collectives":"fused","sim_shards":1,"jobs":[{"workload_id":"E1","params":{"quick":true}}],"time":"2026-10-01T12:00:00Z"}`, 1)
+}
+
+// TestResumeRefusesSchema2Journal: the schema-2 binary's header still
+// carries the collective engine.
+func TestResumeRefusesSchema2Journal(t *testing.T) {
+	assertResumeRefusesOldJournal(t, `{"journal":2,"hash":"8edc9ab97393c0f5","mode":"sweep","fingerprint":"6174c616d146fa46","collectives":"fused","jobs":[{"workload_id":"E1","params":{"quick":true}}],"time":"2026-10-17T17:05:36.263960083Z"}`, 2)
 }
 
 // TestSweepBudgetExpiryKeepsJournalThenResumeCompletes closes the

@@ -16,13 +16,20 @@ import (
 	"repro/internal/store"
 )
 
-// parseErr maps -h to a clean exit instead of an error trace.
+// parseErr maps -h to a clean exit instead of an error trace, and any
+// other flag-parse failure to a usageError.
 func parseErr(err error) error {
 	if errors.Is(err, flag.ErrHelp) {
 		return nil
 	}
-	return err
+	return usageError{err}
 }
+
+// usageError marks a malformed command line; Main exits 2 for it, as the
+// flag package does, instead of 1 for a failed run.
+type usageError struct{ error }
+
+func (e usageError) Unwrap() error { return e.error }
 
 // splitLeadingID peels a leading non-flag argument (a workload ID) off
 // args, so subcommands accept "run <id> -quick" as well as
@@ -79,8 +86,6 @@ func cmdReport(ctx context.Context, args []string, stdout, stderr io.Writer) err
 	sf.register(fs)
 	var cf cacheFlags
 	cf.register(fs)
-	var xf collectivesFlags
-	xf.register(fs)
 	var tf tokenFlags
 	tf.register(fs)
 	var bf budgetFlags
@@ -96,9 +101,6 @@ func cmdReport(ctx context.Context, args []string, stdout, stderr io.Writer) err
 		return err
 	}
 	if err := jf.validate(); err != nil {
-		return err
-	}
-	if err := xf.apply(); err != nil {
 		return err
 	}
 	resultCache, err := cf.open()
@@ -188,8 +190,6 @@ func cmdRun(ctx context.Context, args []string, stdout, stderr io.Writer) error 
 	sf.register(fs)
 	var cf cacheFlags
 	cf.register(fs)
-	var xf collectivesFlags
-	xf.register(fs)
 	var bf budgetFlags
 	bf.register(fs)
 	var jf journalFlags
@@ -203,9 +203,6 @@ func cmdRun(ctx context.Context, args []string, stdout, stderr io.Writer) error 
 		return err
 	}
 	if err := jf.validate(); err != nil {
-		return err
-	}
-	if err := xf.apply(); err != nil {
 		return err
 	}
 	resultCache, err := cf.open()
@@ -252,8 +249,6 @@ func cmdSweep(ctx context.Context, args []string, stdout, stderr io.Writer) erro
 	sf.register(fs)
 	var cf cacheFlags
 	cf.register(fs)
-	var xf collectivesFlags
-	xf.register(fs)
 	var tf tokenFlags
 	tf.register(fs)
 	var bf budgetFlags
@@ -271,9 +266,6 @@ func cmdSweep(ctx context.Context, args []string, stdout, stderr io.Writer) erro
 		return err
 	}
 	if err := jf.validate(); err != nil {
-		return err
-	}
-	if err := xf.apply(); err != nil {
 		return err
 	}
 	resultCache, err := cf.open()

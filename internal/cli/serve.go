@@ -49,8 +49,6 @@ func cmdServe(ctx context.Context, args []string, stdout, stderr io.Writer) erro
 	drain := fs.Duration("drain", 10*time.Second, "on SIGINT/SIGTERM, stop accepting and let in-flight requests finish for up to this long before closing (0 = close immediately)")
 	var cf cacheFlags
 	cf.register(fs)
-	var xf collectivesFlags
-	xf.register(fs)
 	var tf tokenFlags
 	tf.register(fs)
 	var bf budgetFlags
@@ -60,9 +58,6 @@ func cmdServe(ctx context.Context, args []string, stdout, stderr io.Writer) erro
 	}
 	if fs.NArg() > 0 {
 		return errors.New("serve: takes no arguments")
-	}
-	if err := xf.apply(); err != nil {
-		return err
 	}
 	resultCache, err := cf.open()
 	if err != nil {

@@ -1,10 +1,10 @@
 // Package journal implements the crash-safe sweep journal: an fsync'd
 // append-only JSONL file, one per sweep, keyed by the sweep's identity
 // hash. The first line is a Header naming exactly what the sweep was —
-// mode, registry fingerprint, collective/shard configuration, and the
-// full (workload ID, canonical params) job list — and every line after
-// it is one completed (index, Result) checkpoint, appended in index
-// order through the harness assembler's in-order emit path.
+// mode, registry fingerprint, and the full (workload ID, canonical
+// params) job list — and every line after it is one completed (index,
+// Result) checkpoint, appended in index order through the harness
+// assembler's in-order emit path.
 //
 // `hpcc resume` reopens the file, verifies the identity hash (a journal
 // written by a different binary or a different job list is refused with
@@ -36,9 +36,9 @@ import (
 
 // Schema is the journal file schema revision, recorded in every header.
 // Revision 2 dropped the engine shard count from the header and its
-// identity hash; Open refuses any other revision, so an older journal is
-// rerun rather than replayed.
-const Schema = 2
+// identity hash; revision 3 dropped the collective engine. Open refuses
+// any other revision, so an older journal is rerun rather than replayed.
+const Schema = 3
 
 // keyHexLen is how many hex digits of the identity hash name a journal
 // file — 64 bits, plenty against collision across one journal directory.
@@ -46,10 +46,20 @@ const keyHexLen = 16
 
 // ErrIdentityMismatch reports a journal whose identity hash does not
 // match what this binary would compute for the same sweep — a different
-// registry fingerprint, job list, or collective/shard configuration.
-// Replaying it could silently mix results from two different experiment
-// definitions, so resume refuses instead.
+// registry fingerprint or job list. Replaying it could silently mix
+// results from two different experiment definitions, so resume refuses
+// instead.
 var ErrIdentityMismatch = errors.New("journal: identity mismatch")
+
+// ErrSchema reports a journal written under another schema revision.
+// Its results are not replayed; the sweep is rerun instead.
+var ErrSchema = errors.New("journal: unsupported schema")
+
+// ErrCorrupt reports a journal file that is not a journal: empty, an
+// unparseable header, or an intact entry line that does not decode or
+// names a job the header does not have. (A torn final line is not
+// corruption; Open recovers it.)
+var ErrCorrupt = errors.New("journal: corrupt")
 
 // ErrExists reports that a journal for this sweep identity already
 // exists — the caller must either resume it or remove it, never
@@ -81,9 +91,6 @@ type Header struct {
 	// binary: same-registry enforcement, exactly like the fleet
 	// handshake.
 	Fingerprint string `json:"fingerprint"`
-	// Collectives pins the nx collective mode the sweep ran under;
-	// resume re-applies it so the remainder computes identical bytes.
-	Collectives string `json:"collectives,omitempty"`
 	// JSON records whether the interrupted command was asked for JSON
 	// output; render-only, excluded from the identity hash.
 	JSON bool `json:"json,omitempty"`
@@ -94,17 +101,15 @@ type Header struct {
 }
 
 // Identity computes the header's identity digest over everything that
-// determines the sweep's bytes: mode, registry fingerprint, collective
-// mode, and the ordered (workload ID, canonical params)
-// job list. Render-only fields (JSON, Time) are excluded.
+// determines the sweep's bytes: mode, registry fingerprint, and the
+// ordered (workload ID, canonical params) job list. Render-only fields
+// (JSON, Time) are excluded.
 func (h Header) Identity() string {
 	sum := sha256.New()
 	io.WriteString(sum, "hpcc-journal\x00")
 	io.WriteString(sum, h.Mode)
 	io.WriteString(sum, "\x00")
 	io.WriteString(sum, h.Fingerprint)
-	io.WriteString(sum, "\x00")
-	io.WriteString(sum, h.Collectives)
 	io.WriteString(sum, "\x00")
 	for _, j := range h.Jobs {
 		io.WriteString(sum, j.WorkloadID)
@@ -188,7 +193,8 @@ func Create(dir string, h Header) (*Journal, error) {
 // index → Result map, recovers a torn final line (truncating it with a
 // note on warn — a crash mid-append must never make a journal
 // unresumable), and leaves the file positioned for appending. A missing
-// file propagates fs.ErrNotExist.
+// file propagates fs.ErrNotExist; a journal it refuses is ErrCorrupt,
+// ErrSchema or ErrIdentityMismatch.
 func Open(path string, warn io.Writer) (*Journal, Header, map[int]harness.Result, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -197,15 +203,15 @@ func Open(path string, warn io.Writer) (*Journal, Header, map[int]harness.Result
 
 	lines, torn, tornOff := splitJournal(data)
 	if len(lines) == 0 {
-		return nil, Header{}, nil, fmt.Errorf("journal: %s is empty", path)
+		return nil, Header{}, nil, fmt.Errorf("%w: %s is empty", ErrCorrupt, path)
 	}
 
 	var h Header
 	if err := json.Unmarshal(lines[0], &h); err != nil {
-		return nil, Header{}, nil, fmt.Errorf("journal: %s: bad header: %w", path, err)
+		return nil, Header{}, nil, fmt.Errorf("%w: %s: bad header: %w", ErrCorrupt, path, err)
 	}
 	if h.Journal != Schema {
-		return nil, Header{}, nil, fmt.Errorf("journal: %s has schema %d, this binary speaks %d (rerun the sweep instead of resuming)", path, h.Journal, Schema)
+		return nil, Header{}, nil, fmt.Errorf("%w: %s has schema %d, this binary speaks %d (rerun the sweep instead of resuming)", ErrSchema, path, h.Journal, Schema)
 	}
 	if want := h.Identity(); h.Hash != want {
 		return nil, Header{}, nil, fmt.Errorf("%w: %s records hash %s but its contents hash to %s", ErrIdentityMismatch, path, h.Hash, want)
@@ -215,10 +221,10 @@ func Open(path string, warn io.Writer) (*Journal, Header, map[int]harness.Result
 	for n, line := range lines[1:] {
 		var e entry
 		if err := json.Unmarshal(line, &e); err != nil {
-			return nil, Header{}, nil, fmt.Errorf("journal: %s: bad entry on line %d: %w", path, n+2, err)
+			return nil, Header{}, nil, fmt.Errorf("%w: %s: bad entry on line %d: %w", ErrCorrupt, path, n+2, err)
 		}
 		if e.Index < 0 || e.Index >= len(h.Jobs) {
-			return nil, Header{}, nil, fmt.Errorf("journal: %s: entry index %d out of range [0,%d)", path, e.Index, len(h.Jobs))
+			return nil, Header{}, nil, fmt.Errorf("%w: %s: entry index %d out of range [0,%d)", ErrCorrupt, path, e.Index, len(h.Jobs))
 		}
 		done[e.Index] = e.Result
 	}

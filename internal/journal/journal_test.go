@@ -22,7 +22,6 @@ func testHeader(n int) Header {
 	return Header{
 		Mode:        "sweep",
 		Fingerprint: "deadbeef",
-		Collectives: "auto",
 		Jobs:        jobs,
 		Time:        time.Date(2026, 8, 7, 12, 0, 0, 0, time.UTC),
 	}
@@ -248,8 +247,8 @@ func TestSchemaMismatchRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, _, _, err = Open(path, nil)
-	if err == nil || !strings.Contains(err.Error(), "schema") {
-		t.Fatalf("future schema accepted: %v", err)
+	if !errors.Is(err, ErrSchema) {
+		t.Fatalf("future schema not refused as ErrSchema: %v", err)
 	}
 }
 
@@ -257,27 +256,43 @@ func TestSchemaMismatchRefused(t *testing.T) {
 // it, engine shard count ("sim_shards") included.
 const schema1Header = `{"journal":1,"hash":"9efe483ee4461ab3","mode":"sweep","fingerprint":"05fa47753e0609c6","collectives":"fused","sim_shards":1,"jobs":[{"workload_id":"E1","params":{"quick":true}}],"time":"2026-10-01T12:00:00Z"}`
 
-// TestSchema1JournalRefusedWithRerunHint: a journal from before the
-// shard count left the identity must be refused by the schema check —
-// never replayed, and never misreported as a hash mismatch — with a hint
-// to rerun.
-func TestSchema1JournalRefusedWithRerunHint(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "9efe483ee4461ab3.jsonl")
-	if err := os.WriteFile(path, []byte(schema1Header+"\n"), 0o644); err != nil {
+// schema2Header is a header line exactly as the schema-2 binary wrote
+// it, collective engine ("collectives") included.
+const schema2Header = `{"journal":2,"hash":"8edc9ab97393c0f5","mode":"sweep","fingerprint":"6174c616d146fa46","collectives":"fused","jobs":[{"workload_id":"E1","params":{"quick":true}}],"time":"2026-10-17T17:05:36.263960083Z"}`
+
+// assertRefusedWithRerunHint writes header as a journal and demands that
+// Open refuses it by the schema check — never replayed, and never
+// misreported as a hash mismatch — with a hint to rerun.
+func assertRefusedWithRerunHint(t *testing.T, header string, schema int) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "old.jsonl")
+	if err := os.WriteFile(path, []byte(header+"\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	_, _, done, err := Open(path, nil)
 	if err == nil {
-		t.Fatalf("schema-1 journal opened (%d entries replayable)", len(done))
+		t.Fatalf("schema-%d journal opened (%d entries replayable)", schema, len(done))
 	}
-	if errors.Is(err, ErrIdentityMismatch) {
-		t.Fatalf("schema-1 journal reported as identity mismatch: %v", err)
+	if !errors.Is(err, ErrSchema) || errors.Is(err, ErrIdentityMismatch) {
+		t.Fatalf("schema-%d journal not refused as ErrSchema: %v", schema, err)
 	}
-	for _, want := range []string{"schema 1", "rerun"} {
+	for _, want := range []string{fmt.Sprintf("schema %d", schema), "rerun"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Fatalf("refusal missing %q: %v", want, err)
 		}
 	}
+}
+
+// TestSchema1JournalRefusedWithRerunHint: a journal from before the
+// shard count left the identity.
+func TestSchema1JournalRefusedWithRerunHint(t *testing.T) {
+	assertRefusedWithRerunHint(t, schema1Header, 1)
+}
+
+// TestSchema2JournalRefusedWithRerunHint: a journal from before the
+// collective engine left the identity.
+func TestSchema2JournalRefusedWithRerunHint(t *testing.T) {
+	assertRefusedWithRerunHint(t, schema2Header, 2)
 }
 
 func TestListAndRemove(t *testing.T) {

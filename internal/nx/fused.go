@@ -18,9 +18,10 @@ package nx
 // the exact per-member program order the tree algorithms execute — and
 // every member is released with its exit clock, its stat deltas and its
 // result payload. Virtual times, ProcStats and trace spans are
-// bit-identical to the tree path; only the host-time cost changes. CI
-// gates the equivalence with a differential test (fused_test.go) and a
-// full-report byte-identity cmp step.
+// bit-identical to the tree path; only the host-time cost changes. The
+// equivalence is gated by the differential tests in fused_test.go and by
+// holding a -tags hpcctree binary, which runs every collective on the
+// tree path, to the same golden digests as the shipped one.
 //
 // Two further mechanisms make the engine fast rather than merely
 // message-free:
@@ -54,92 +55,31 @@ package nx
 // section of docs/WORKLOADS.md.
 //
 // The second-generation collectives (ring allreduce, scatter, scan) stay
-// on the message path in every mode; they are ablation baselines, not hot
-// paths.
+// on the message path in both engines; they are ablation baselines, not
+// hot paths.
 
 import (
 	"fmt"
 	"math"
-	"os"
-	"sync/atomic"
 
 	"repro/internal/trace"
 )
 
-// CollectiveMode selects how Group collectives execute.
-type CollectiveMode int
+// collectiveMode selects how Group collectives execute. The zero value
+// is the build's engine (treeBuild): fused, or tree under -tags
+// hpcctree. Tests pin either engine per run through Config.collectives.
+type collectiveMode string
 
-// Collective execution modes.
 const (
-	// CollectivesAuto (the zero value) uses the process-wide default:
-	// fused, unless SetDefaultCollectives or the HPCC_COLLECTIVES
-	// environment variable ("tree" or "fused") says otherwise.
-	CollectivesAuto CollectiveMode = iota
-	// CollectivesFused computes each collective analytically in one
-	// rendezvous (this file). Virtual times and stats are bit-identical
-	// to CollectivesTree.
-	CollectivesFused
-	// CollectivesTree schedules every tree edge as a real point-to-point
-	// message (the legacy path in group.go).
-	CollectivesTree
+	collectivesBuild collectiveMode = ""
+	// collectivesFused computes each collective analytically in one
+	// rendezvous (this file).
+	collectivesFused collectiveMode = "fused"
+	// collectivesTree schedules every tree edge as a real point-to-point
+	// message (group.go): the reference the fused engine is tested
+	// against.
+	collectivesTree collectiveMode = "tree"
 )
-
-// String names the mode.
-func (m CollectiveMode) String() string {
-	switch m {
-	case CollectivesAuto:
-		return "auto"
-	case CollectivesFused:
-		return "fused"
-	case CollectivesTree:
-		return "tree"
-	}
-	return fmt.Sprintf("CollectiveMode(%d)", int(m))
-}
-
-// ParseCollectiveMode maps the CLI/env spelling of a mode to its value.
-func ParseCollectiveMode(s string) (CollectiveMode, error) {
-	switch s {
-	case "", "auto":
-		return CollectivesAuto, nil
-	case "fused":
-		return CollectivesFused, nil
-	case "tree":
-		return CollectivesTree, nil
-	}
-	return CollectivesAuto, fmt.Errorf("nx: unknown collective mode %q (want fused or tree)", s)
-}
-
-// defaultCollectives is what CollectivesAuto resolves to. It is atomic so
-// a CLI flag handler can set it once while worker pools are quiescent
-// without racing the runtime's readers.
-var defaultCollectives atomic.Int32
-
-func init() {
-	defaultCollectives.Store(int32(CollectivesFused))
-	// Worker processes inherit the parent's -collectives choice through
-	// the environment (the shard executor re-execs the binary without
-	// re-passing flags).
-	if m, err := ParseCollectiveMode(os.Getenv("HPCC_COLLECTIVES")); err == nil && m != CollectivesAuto {
-		defaultCollectives.Store(int32(m))
-	}
-}
-
-// SetDefaultCollectives sets what CollectivesAuto resolves to for runs
-// that do not pin Config.Collectives. It is meant to be called once at
-// process start (the hpcc -collectives flag); mid-run calls affect only
-// runs started afterwards.
-func SetDefaultCollectives(m CollectiveMode) {
-	if m == CollectivesAuto {
-		m = CollectivesFused
-	}
-	defaultCollectives.Store(int32(m))
-}
-
-// DefaultCollectives returns what CollectivesAuto currently resolves to.
-func DefaultCollectives() CollectiveMode {
-	return CollectiveMode(defaultCollectives.Load())
-}
 
 // fusedKind identifies which collective algorithm a rendezvous replays.
 type fusedKind int8

@@ -10,11 +10,11 @@ import (
 // 16-member phantom pivot allreduce plus two phantom broadcasts) many
 // times per run — the shape that dominates cold E4 host time — under the
 // given collective mode.
-func benchCollectives(b *testing.B, mode CollectiveMode, members, iters int) {
+func benchCollectives(b *testing.B, mode collectiveMode, members, iters int) {
 	model := machine.Delta()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_, err := Run(Config{Model: model, Procs: members, Collectives: mode}, func(p *Proc) {
+		_, err := Run(Config{Model: model, Procs: members, collectives: mode}, func(p *Proc) {
 			g := p.World()
 			for it := 0; it < iters; it++ {
 				g.AllreducePhantom(0, 16)
@@ -28,5 +28,5 @@ func benchCollectives(b *testing.B, mode CollectiveMode, members, iters int) {
 	}
 }
 
-func BenchmarkCollectivesFused(b *testing.B) { benchCollectives(b, CollectivesFused, 16, 2000) }
-func BenchmarkCollectivesTree(b *testing.B)  { benchCollectives(b, CollectivesTree, 16, 2000) }
+func BenchmarkCollectivesFused(b *testing.B) { benchCollectives(b, collectivesFused, 16, 2000) }
+func BenchmarkCollectivesTree(b *testing.B)  { benchCollectives(b, collectivesTree, 16, 2000) }

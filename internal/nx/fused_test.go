@@ -29,13 +29,13 @@ func diffModel(rows, cols int) machine.Model {
 
 // runBoth executes body under both collective modes on the given model
 // and returns the two results plus whatever the body recorded per proc.
-func runBoth(t *testing.T, model machine.Model, procs int, make func(mode CollectiveMode) func(p *Proc)) (tree, fused *Result) {
+func runBoth(t *testing.T, model machine.Model, procs int, make func(mode collectiveMode) func(p *Proc)) (tree, fused *Result) {
 	t.Helper()
-	tree, err := Run(Config{Model: model, Procs: procs, Collectives: CollectivesTree}, make(CollectivesTree))
+	tree, err := Run(Config{Model: model, Procs: procs, collectives: collectivesTree}, make(collectivesTree))
 	if err != nil {
 		t.Fatalf("tree run: %v", err)
 	}
-	fused, err = Run(Config{Model: model, Procs: procs, Collectives: CollectivesFused}, make(CollectivesFused))
+	fused, err = Run(Config{Model: model, Procs: procs, collectives: collectivesFused}, make(collectivesFused))
 	if err != nil {
 		t.Fatalf("fused run: %v", err)
 	}
@@ -112,14 +112,14 @@ func TestFusedDifferentialRandomPrograms(t *testing.T) {
 			// exit[mode][proc] records p.Now() after every op, which
 			// forces a settle and checks clocks mid-program, not just at
 			// the end. outs records payload-carrying results.
-			exits := map[CollectiveMode][][]float64{}
-			outs := map[CollectiveMode][][]float64{}
-			for _, m := range []CollectiveMode{CollectivesTree, CollectivesFused} {
+			exits := map[collectiveMode][][]float64{}
+			outs := map[collectiveMode][][]float64{}
+			for _, m := range []collectiveMode{collectivesTree, collectivesFused} {
 				exits[m] = make([][]float64, procs)
 				outs[m] = make([][]float64, procs)
 			}
 
-			body := func(mode CollectiveMode) func(p *Proc) {
+			body := func(mode collectiveMode) func(p *Proc) {
 				return func(p *Proc) {
 					inGroup := false
 					for _, m := range members {
@@ -190,13 +190,13 @@ func TestFusedDifferentialRandomPrograms(t *testing.T) {
 			tree, fused := runBoth(t, model, procs, body)
 			assertResultsEqual(t, tree, fused)
 			for r := 0; r < procs; r++ {
-				if !reflect.DeepEqual(exits[CollectivesTree][r], exits[CollectivesFused][r]) {
+				if !reflect.DeepEqual(exits[collectivesTree][r], exits[collectivesFused][r]) {
 					t.Fatalf("proc %d exit clocks diverge:\n tree  %v\n fused %v",
-						r, exits[CollectivesTree][r], exits[CollectivesFused][r])
+						r, exits[collectivesTree][r], exits[collectivesFused][r])
 				}
-				if !reflect.DeepEqual(outs[CollectivesTree][r], outs[CollectivesFused][r]) {
+				if !reflect.DeepEqual(outs[collectivesTree][r], outs[collectivesFused][r]) {
 					t.Fatalf("proc %d payloads diverge:\n tree  %v\n fused %v",
-						r, outs[CollectivesTree][r], outs[CollectivesFused][r])
+						r, outs[collectivesTree][r], outs[collectivesFused][r])
 				}
 			}
 		})
@@ -214,9 +214,9 @@ func TestFusedDifferentialAllreducePair(t *testing.T) {
 		clocks []float64
 		vals   []float64
 	}
-	run := func(mode CollectiveMode) []rec {
+	run := func(mode collectiveMode) []rec {
 		recs := make([]rec, procs)
-		_, err := Run(Config{Model: model, Collectives: mode}, func(p *Proc) {
+		_, err := Run(Config{Model: model, collectives: mode}, func(p *Proc) {
 			g := p.World()
 			r := &recs[p.Rank()]
 			for it := 0; it < 20; it++ {
@@ -242,8 +242,8 @@ func TestFusedDifferentialAllreducePair(t *testing.T) {
 		}
 		return recs
 	}
-	tree := run(CollectivesTree)
-	fused := run(CollectivesFused)
+	tree := run(collectivesTree)
+	fused := run(collectivesFused)
 	for i := range tree {
 		if !reflect.DeepEqual(tree[i], fused[i]) {
 			t.Fatalf("proc %d diverges:\n tree  %+v\n fused %+v", i, tree[i], fused[i])
@@ -256,9 +256,9 @@ func TestFusedDifferentialAllreducePair(t *testing.T) {
 // fusion).
 func TestFusedDifferentialTrace(t *testing.T) {
 	model := diffModel(2, 4)
-	run := func(mode CollectiveMode) []trace.Record {
+	run := func(mode collectiveMode) []trace.Record {
 		rec := trace.NewRecorder(model.Nodes())
-		_, err := Run(Config{Model: model, Trace: rec, Collectives: mode}, func(p *Proc) {
+		_, err := Run(Config{Model: model, Trace: rec, collectives: mode}, func(p *Proc) {
 			g := p.World()
 			p.Compute(machine.OpGemm, float64(1e6*(p.Rank()+1)))
 			g.Barrier()
@@ -276,8 +276,8 @@ func TestFusedDifferentialTrace(t *testing.T) {
 		}
 		return rec.Records()
 	}
-	tree := run(CollectivesTree)
-	fused := run(CollectivesFused)
+	tree := run(collectivesTree)
+	fused := run(collectivesFused)
 	if !reflect.DeepEqual(tree, fused) {
 		t.Fatalf("trace records diverge: tree %d records, fused %d", len(tree), len(fused))
 	}
@@ -288,8 +288,8 @@ func TestFusedDifferentialTrace(t *testing.T) {
 // as they share the tag space on the tree path.
 func TestFusedSameMemberGroupsSequential(t *testing.T) {
 	model := diffModel(1, 4)
-	run := func(mode CollectiveMode) *Result {
-		res, err := Run(Config{Model: model, Collectives: mode}, func(p *Proc) {
+	run := func(mode collectiveMode) *Result {
+		res, err := Run(Config{Model: model, collectives: mode}, func(p *Proc) {
 			a := p.World()
 			a.Barrier()
 			a.BcastPhantom(0, 100)
@@ -303,7 +303,7 @@ func TestFusedSameMemberGroupsSequential(t *testing.T) {
 		}
 		return res
 	}
-	assertResultsEqual(t, run(CollectivesTree), run(CollectivesFused))
+	assertResultsEqual(t, run(collectivesTree), run(collectivesFused))
 }
 
 // TestFusedDeadlockDetected: a member that never enters the collective
@@ -311,7 +311,7 @@ func TestFusedSameMemberGroupsSequential(t *testing.T) {
 // naming the fused wait.
 func TestFusedDeadlockDetected(t *testing.T) {
 	model := diffModel(1, 3)
-	_, err := Run(Config{Model: model, Collectives: CollectivesFused}, func(p *Proc) {
+	_, err := Run(Config{Model: model, collectives: collectivesFused}, func(p *Proc) {
 		if p.Rank() == 2 {
 			// Never enters the barrier; parks on a receive instead.
 			p.Recv(0, 7)
@@ -346,8 +346,8 @@ func TestFusedDeadlockDetected(t *testing.T) {
 // paths (no tags consumed, no rendezvous) stay aligned across modes.
 func TestFusedGroupStatsMatchSingleProc(t *testing.T) {
 	model := diffModel(1, 1)
-	run := func(mode CollectiveMode) *Result {
-		res, err := Run(Config{Model: model, Collectives: mode}, func(p *Proc) {
+	run := func(mode collectiveMode) *Result {
+		res, err := Run(Config{Model: model, collectives: mode}, func(p *Proc) {
 			g := p.World()
 			g.Barrier()
 			g.BcastPhantom(0, 10)
@@ -363,7 +363,7 @@ func TestFusedGroupStatsMatchSingleProc(t *testing.T) {
 		}
 		return res
 	}
-	assertResultsEqual(t, run(CollectivesTree), run(CollectivesFused))
+	assertResultsEqual(t, run(collectivesTree), run(collectivesFused))
 }
 
 // Mixed-traffic differentials. The programs below interleave fused
@@ -375,9 +375,9 @@ func TestFusedGroupStatsMatchSingleProc(t *testing.T) {
 
 // runWindow runs body under the given collective mode, with a deferred-
 // settlement window override for fused runs (0 = adaptive default).
-func runWindow(t *testing.T, model machine.Model, mode CollectiveMode, window int, body func(p *Proc)) *Result {
+func runWindow(t *testing.T, model machine.Model, mode collectiveMode, window int, body func(p *Proc)) *Result {
 	t.Helper()
-	res, err := Run(Config{Model: model, Collectives: mode, pendLimit: window}, body)
+	res, err := Run(Config{Model: model, collectives: mode, pendLimit: window}, body)
 	if err != nil {
 		t.Fatalf("%v window=%d run: %v", mode, window, err)
 	}
@@ -449,7 +449,7 @@ func checkRandomProgram(t *testing.T, seed int64, shape [2]int) {
 		}
 	}
 
-	run := func(mode CollectiveMode) (*Result, [][]float64) {
+	run := func(mode collectiveMode) (*Result, [][]float64) {
 		exits := make([][]float64, procs)
 		body := func(p *Proc) {
 			me := -1
@@ -505,8 +505,8 @@ func checkRandomProgram(t *testing.T, seed int64, shape [2]int) {
 		return runWindow(t, model, mode, 0, body), exits
 	}
 
-	tree, treeExits := run(CollectivesTree)
-	fused, fusedExits := run(CollectivesFused)
+	tree, treeExits := run(collectivesTree)
+	fused, fusedExits := run(collectivesFused)
 	assertResultsEqual(t, tree, fused)
 	for r := 0; r < procs; r++ {
 		if !reflect.DeepEqual(treeExits[r], fusedExits[r]) {
@@ -536,7 +536,7 @@ func TestShardDifferentialResults(t *testing.T) {
 			}
 		}
 	}
-	assertResultsEqual(t, runWindow(t, model, CollectivesTree, 0, body), runWindow(t, model, CollectivesFused, 0, body))
+	assertResultsEqual(t, runWindow(t, model, collectivesTree, 0, body), runWindow(t, model, collectivesFused, 0, body))
 }
 
 // TestShardPendLimitWindows pins bit-identical virtual times across
@@ -558,10 +558,10 @@ func TestShardPendLimitWindows(t *testing.T) {
 			}
 		}
 	}
-	tree := runWindow(t, model, CollectivesTree, 0, body)
+	tree := runWindow(t, model, collectivesTree, 0, body)
 	for _, window := range []int{1, 2, 7, 64, 128, 1024} {
 		t.Run(fmt.Sprintf("window%d", window), func(t *testing.T) {
-			assertResultsEqual(t, tree, runWindow(t, model, CollectivesFused, window, body))
+			assertResultsEqual(t, tree, runWindow(t, model, collectivesFused, window, body))
 		})
 	}
 }
@@ -590,18 +590,18 @@ func TestShardExchangeBatchDifferential(t *testing.T) {
 			}
 		}
 	}
-	tree := runWindow(t, model, CollectivesTree, 0, script(true))
-	assertResultsEqual(t, tree, runWindow(t, model, CollectivesFused, 0, script(false)))
-	assertResultsEqual(t, tree, runWindow(t, model, CollectivesFused, 0, script(true)))
+	tree := runWindow(t, model, collectivesTree, 0, script(true))
+	assertResultsEqual(t, tree, runWindow(t, model, collectivesFused, 0, script(false)))
+	assertResultsEqual(t, tree, runWindow(t, model, collectivesFused, 0, script(true)))
 }
 
 // TestShardTraceDifferential: with a Recorder attached, the fused engine
 // must emit the tree path's span stream, exchange batches included.
 func TestShardTraceDifferential(t *testing.T) {
 	model := diffModel(2, 4)
-	run := func(mode CollectiveMode) []trace.Record {
+	run := func(mode collectiveMode) []trace.Record {
 		rec := trace.NewRecorder(model.Nodes())
-		_, err := Run(Config{Model: model, Trace: rec, Collectives: mode}, func(p *Proc) {
+		_, err := Run(Config{Model: model, Trace: rec, collectives: mode}, func(p *Proc) {
 			g := p.World()
 			p.Compute(machine.OpGemm, float64(1e6*(p.Rank()+1)))
 			g.Barrier()
@@ -616,7 +616,7 @@ func TestShardTraceDifferential(t *testing.T) {
 		}
 		return rec.Records()
 	}
-	tree, fused := run(CollectivesTree), run(CollectivesFused)
+	tree, fused := run(collectivesTree), run(collectivesFused)
 	if !reflect.DeepEqual(tree, fused) {
 		t.Fatalf("trace records diverge: tree %d records, fused %d", len(tree), len(fused))
 	}
@@ -631,7 +631,7 @@ func TestShardCancelPromptlyStopsShards(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	time.AfterFunc(30*time.Millisecond, cancel)
 	start := time.Now()
-	_, err := Run(Config{Model: model, Ctx: ctx, Collectives: CollectivesFused}, func(p *Proc) {
+	_, err := Run(Config{Model: model, Ctx: ctx, collectives: collectivesFused}, func(p *Proc) {
 		w := p.World()
 		for {
 			p.Compute(machine.OpVector, 100)

@@ -60,10 +60,10 @@ type Config struct {
 	// returns Ctx.Err() instead of a result. A nil Ctx preserves the
 	// classic run-to-completion behavior.
 	Ctx context.Context
-	// Collectives selects how Group collectives execute: fused analytic
-	// rendezvous (the default) or the legacy per-edge tree messages.
-	// Both produce bit-identical virtual times and stats; see fused.go.
-	Collectives CollectiveMode
+	// collectives pins the collective engine (tests only; the zero value
+	// is the build's engine). Both engines produce bit-identical virtual
+	// times and stats; see fused.go.
+	collectives collectiveMode
 	// pendLimit overrides the adaptive deferred-settlement window
 	// (tests only; 0 = adaptivePendLimit of the process count).
 	pendLimit int
@@ -156,10 +156,8 @@ func Run(cfg Config, body func(p *Proc)) (*Result, error) {
 		return nil, fmt.Errorf("nx: Procs=%d invalid for %d-node model", n, cfg.Model.Nodes())
 	}
 
-	mode := cfg.Collectives
-	if mode == CollectivesAuto {
-		mode = DefaultCollectives()
-	}
+	fused := cfg.collectives == collectivesFused ||
+		cfg.collectives == collectivesBuild && !treeBuild
 	pendLimit := cfg.pendLimit
 	if pendLimit <= 0 {
 		pendLimit = adaptivePendLimit(n)
@@ -177,7 +175,7 @@ func Run(cfg Config, body func(p *Proc)) (*Result, error) {
 		p := &backing[i]
 		p.rank, p.size, p.model = i, n, cfg.Model
 		p.rt = rt
-		p.fused = mode == CollectivesFused
+		p.fused = fused
 		p.initCaches()
 		if cfg.Trace != nil {
 			p.tview = cfg.Trace.Proc(i)

@@ -19,7 +19,7 @@ type Proc struct {
 	rt    *runtime
 	stats ProcStats
 	tview *trace.ProcView
-	fused bool // run-wide collective mode (see Config.Collectives)
+	fused bool // run-wide collective engine (see Config.collectives)
 
 	// The coroutine Run drives this process with (see runtime.schedule):
 	// yield parks the body, resume and stop are the scheduler's handles.
